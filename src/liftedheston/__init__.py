@@ -10,16 +10,7 @@ experiment harness.
 
 from .clp import ProjectionCoeffs, clp_step, constrain_beta, simulate_clp, step_coefficients
 from .euler import EulerConfig, VarianceFix, euler_step, simulate_euler
-from .numerics import (
-    DriftMatrix,
-    StepPrecompute,
-    build_drift_matrix,
-    e_matrix_integral,
-    phi1,
-    precompute_step,
-    solve_psi,
-    solve_xi,
-)
+from .numerics import StepPrecompute, build_drift_matrix, e_matrix_integral, phi1, precompute_step
 from .params import (
     CurveKind,
     InitialCurve,
@@ -49,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CurveKind",
-    "DriftMatrix",
     "EulerConfig",
     "InitialCurve",
     "ModelParams",
@@ -88,8 +78,6 @@ __all__ = [
     "sample_standard_normal",
     "simulate_clp",
     "simulate_euler",
-    "solve_psi",
-    "solve_xi",
     "step_coefficients",
     "variance_se_bootstrap",
     "vix_from_state",

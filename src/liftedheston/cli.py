@@ -690,7 +690,8 @@ def main(argv=None) -> int:
                 raw[key] = value
         cfg = build_config(raw)
         handlers[args.command](cfg)
-    except ConfigError as exc:
+    except (ValueError, FloatingPointError) as exc:
+        # ConfigError and the library's own input checks alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import StepPrecompute, build_drift_matrix, precompute_step
+from .numerics import StepPrecompute, precompute_step
 from .params import InitialCurve, ModelParams, g0
 from .sampling import RngStream, sample_inverse_gaussian
 from .state import PathSnapshot, PathState, SimDiagnostics, SimOutput
@@ -285,7 +285,6 @@ def simulate_clp(
     seed: int | RngStream,
     snapshot_times=(),
     record_step_means: bool = False,
-    substeps: int = 64,
     initial: PathState | None = None,
 ) -> SimOutput:
     """Simulate all paths over the grid with the projection scheme.
@@ -307,7 +306,6 @@ def simulate_clp(
         if initial.n_paths != n_paths:
             raise ValueError("initial state does not hold n_paths paths")
         state = initial.copy()
-    drift = build_drift_matrix(params)
     diagnostics = SimDiagnostics(scheme="clp", n_paths=n_paths, n_steps=grid.size - 1)
     snapshot_times = [float(t) for t in snapshot_times]
     for t_snap in snapshot_times:
@@ -328,15 +326,8 @@ def simulate_clp(
                 )
 
     _maybe_snapshot(state)
-    matrix_cache: dict[float, tuple] = {}
     for i in range(grid.size - 1):
-        dt = float(grid[i + 1] - grid[i])
-        parts = matrix_cache.get(dt)
-        pre = precompute_step(
-            params, curve, float(grid[i]), float(grid[i + 1]), substeps, drift, parts
-        )
-        if parts is None:
-            matrix_cache[dt] = (pre.exp_a_dt, pre.phi1, pre.e_matrix, pre.chi)
+        pre = precompute_step(params, curve, float(grid[i]), float(grid[i + 1]))
         state = clp_step(state, pre, params, stream, diagnostics)
         _maybe_snapshot(state)
         if record_step_means:

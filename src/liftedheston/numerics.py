@@ -1,34 +1,34 @@
-"""Matrix machinery behind the conditional moments of integrated variance.
+"""Conditional moments of integrated variance over one scheme step.
 
 Stacking the factor vector U, the model's conditional means obey a linear
 ODE with drift matrix
 
     A = -lam * 1_N omega^T - diag(x)
 
-(1_N the all-ones column, omega^T the weight row).  Everything a scheme
-step needs derives from A over one step [s, t] with h = t - s:
+(1_N the all-ones column, omega^T the weight row).  Over a step [s, t]
+with h = t - s, the moments a scheme step needs are the values at u = h
+of the linear system
 
-  * phi1(A, h) = int_0^h exp(A u) du, the first phi-function,
-  * the kernel-product integral J(h) = int_0^h exp(A (h-w)) (1_N omega^T)
-    exp(A w) dw, which shows up in the covariance map,
-  * the forced responses xi and psi solving
+    kappa' = A kappa + nu 1_N (omega . a + G0),     kappa(0) = 0,
+    a'     = m,                                     a(0)     = 0,
+    m'     = A m - lam g0 1_N,                      m(0)     = U_s,
+    G0'    = g0,                                    G0(0)    = 0,
 
-        dxi/du  = A xi - lam * G0(s, u) 1_N,                  xi_s  = 0,
-        dpsi/du = A psi + nu * 1_N (omega . xi_u + G0(s, u)), psi_s = 0,
+where m is the conditional mean of the factors, a its running integral,
+G0 the running integral of the initial curve g0 and kappa the per-factor
+mean of X_{s,u} = int_s^u V against Z_{s,u} = int_s^u sqrt(V) dW2.  The
+curve itself is appended as an autonomous state y with y' = b - d * y
+(d a vector of decay rates) and g0 = c0 + c . y, so the whole system is
+one constant generator G acting on [kappa, a, m, G0, y, 1] and its
+solution is exp(G h) (Van Loan, IEEE TAC 23(3), 1978).  Read off, with
+z0 = [0, 0, 0, 0, y(s), 1],
 
-with G0(s, u) the running integral of the initial curve.  From these the
-conditional mean of X_{s,t} = int_s^t V_u du given the state U_s is
+    phi1 = exp(G h)[a, m]       = int_0^h exp(A u) du,
+    chi  = exp(G h)[kappa, m],
+    xi   = exp(G h)[a, :] z0,   psi = exp(G h)[kappa, :] z0,
 
-    E_s[X_{s,t}] = omega . (phi1(A, h) U_s + xi_t) + G0(s, t),
-
-the vector of per-factor means is phi1(A, h) U_s + xi_t itself, and the
-mean of X against the variance driver Z_{s,t} = int_s^t sqrt(V_u) dW2_u
-is
-
-    E_s[X_{s,t} Z_{s,t}] = omega . (chi U_s + psi_t),
-    chi = nu * (J(h) - phi1(A, h) (1_N omega^T)) A^{-1},
-
-with a quadrature route replacing the A^{-1} factor when A is singular.
+so that E_s[X_{s,t}] = omega . (phi1 U_s + xi) + G0(s, t), the per-factor
+means are phi1 U_s + xi and E_s[X_{s,t} Z_{s,t}] = omega . (chi U_s + psi).
 """
 
 from __future__ import annotations
@@ -36,294 +36,103 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
-from .params import InitialCurve, ModelParams, g0, g0_integral
+from .params import CurveKind, InitialCurve, ModelParams, g0, g0_integral
 
 __all__ = [
-    "DriftMatrix",
     "StepPrecompute",
     "build_drift_matrix",
     "phi1",
     "e_matrix_integral",
-    "kernel_product_quad",
-    "chi_map",
-    "solve_xi",
-    "solve_psi",
     "precompute_step",
 ]
 
-_EIG_GAP_REL = 1e-8
-_IMAG_TOL = 1e-10
-_QUAD_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class DriftMatrix:
-    """Drift matrix of the factor system with its eigendecomposition.
-
-    ``degenerate`` marks (nearly) repeated eigenvalues, in which case the
-    closed-form kernel-product integral is ill conditioned and callers
-    fall back to quadrature.  ``singular`` marks a non-invertible A.
-    """
-
-    matrix: np.ndarray
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
-    eigvecs_inv: np.ndarray
-    degenerate: bool
-    singular: bool
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-def build_drift_matrix(params: ModelParams) -> DriftMatrix:
-    """Assemble A = -lam 1_N omega^T - diag(x) and eigendecompose it."""
+def build_drift_matrix(params: ModelParams) -> np.ndarray:
+    """Drift matrix A = -lam 1_N omega^T - diag(x)."""
     n = params.n_states
-    a = -params.lam * np.outer(np.ones(n), params.omega) - np.diag(params.x)
-    eigvals, eigvecs = np.linalg.eig(a)
-    scale = float(np.max(np.abs(eigvals)))
-    if scale == 0.0:
-        degenerate = n > 1
-        singular = True
-        eigvecs_inv = np.linalg.inv(eigvecs)
-        return DriftMatrix(a, eigvals, eigvecs, eigvecs_inv, degenerate, singular)
-    gaps = np.abs(eigvals[:, None] - eigvals[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    degenerate = bool(np.min(gaps) < _EIG_GAP_REL * scale) if n > 1 else False
-    singular = bool(np.min(np.abs(eigvals)) < 1e-12 * scale)
-    eigvecs_inv = np.linalg.inv(eigvecs)
-    return DriftMatrix(a, eigvals, eigvecs, eigvecs_inv, degenerate, singular)
+    return -params.lam * np.outer(np.ones(n), params.omega) - np.diag(params.x)
+
+
+def _van_loan(p: np.ndarray, q: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
+    """int_0^h exp(P (h-w)) Q exp(R w) dw, the top-right block of exp([[P, Q], [0, R]] h)."""
+    if h < 0:
+        raise ValueError("h must be >= 0")
+    n = p.shape[0]
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n], aug[:n, n:], aug[n:, n:] = p, q, r
+    return expm(aug * h)[:n, n:]
 
 
 def phi1(a: np.ndarray, h: float) -> np.ndarray:
     """First phi-function int_0^h exp(A u) du.
 
-    Computed as the top-right block of the exponential of the augmented
-    matrix [[A, I], [0, 0]], which stays well defined for singular A and
-    satisfies phi1(A, h) A = A phi1(A, h) = exp(A h) - I.
+    Well defined for singular A; satisfies phi1(A, h) A = exp(A h) - I.
     """
     a = np.asarray(a, dtype=float)
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    n = a.shape[0]
-    if h == 0.0:
-        return np.zeros_like(a)
-    aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = a
-    aug[:n, n:] = np.eye(n)
-    return expm(aug * h)[:n, n:]
+    return _van_loan(a, np.eye(a.shape[0]), np.zeros_like(a), h)
 
 
-def _real_part(m: np.ndarray, what: str) -> np.ndarray:
-    worst = float(np.max(np.abs(m.imag))) if np.iscomplexobj(m) else 0.0
-    if worst > _IMAG_TOL:
-        raise FloatingPointError(
-            f"{what}: imaginary residue {worst:.3e} exceeds {_IMAG_TOL:.0e}"
-        )
-    return np.ascontiguousarray(m.real)
+def e_matrix_integral(params: ModelParams, h: float) -> np.ndarray:
+    """Kernel-product integral J(h) = int_0^h exp(A (h-w)) 1_N omega^T exp(A w) dw."""
+    a = build_drift_matrix(params)
+    return _van_loan(a, np.outer(np.ones(params.n_states), params.omega), a, h)
 
 
-def kernel_product_quad(
-    params: ModelParams, drift: DriftMatrix, h: float, tol: float = _QUAD_TOL
-) -> np.ndarray:
-    """Adaptive quadrature of J(h) = int_0^h exp(A (h-w)) 1_N omega^T exp(A w) dw."""
-    a = drift.matrix
-    rank_one = np.outer(np.ones(drift.n), params.omega)
+def _generator(params: ModelParams, c0: float, c: np.ndarray, decay: np.ndarray, b: float) -> np.ndarray:
+    """Generator of [kappa, a, m, G0, y, 1] for g0 = c0 + c . y with y' = b - decay * y."""
+    n, k = params.n_states, c.size
+    a = build_drift_matrix(params)
+    ones = np.ones(n)
+    kap, ai, mi, gi = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n), 3 * n
+    yi, one = slice(3 * n + 1, 3 * n + 1 + k), 3 * n + 1 + k
+    gen = np.zeros((one + 1, one + 1))
+    gen[kap, kap] = a
+    gen[kap, ai] = params.nu * np.outer(ones, params.omega)
+    gen[kap, gi] = params.nu
+    gen[ai, mi] = np.eye(n)
+    gen[mi, mi] = a
+    gen[mi, yi] = -params.lam * np.outer(ones, c)
+    gen[mi, one] = -params.lam * c0
+    gen[gi, yi] = c
+    gen[gi, one] = c0
+    gen[yi, yi] = -np.diag(decay)
+    gen[yi, one] = b
+    return gen
 
-    def integrand(w):
-        return expm(a * (h - w)) @ rank_one @ expm(a * w)
 
-    value, _ = quad_vec(integrand, 0.0, h, epsabs=tol, epsrel=1e-12)
-    return value
+def _step_moments(params: ModelParams, curve: InitialCurve, s: float, t: float):
+    """(phi1, chi, xi, psi) over [s, t] from the exponential of the step generator.
 
-
-def e_matrix_integral(params: ModelParams, drift: DriftMatrix, h: float) -> np.ndarray:
-    """Kernel-product integral J(h) = int_0^h exp(A (h-w)) 1_N omega^T exp(A w) dw.
-
-    Along the eigendecomposition A = W diag(l) W^{-1} the integral is
-    W (M * D) W^{-1}, where M = W^{-1} (1_N omega^T) W (rank one, the
-    exact outer product of W^{-1} 1_N and omega^T W) and D holds the
-    scalar integrals
-
-        D_ij = int_0^h exp(l_i (h-w)) exp(l_j w) dw
-             = exp((l_i + l_j) h / 2) * 2 sinh((l_j - l_i) h / 2) / (l_j - l_i),
-
-    with the equal-eigenvalue limit h * exp(l_i h).  For a (nearly)
-    degenerate spectrum the whole computation falls back to adaptive
-    quadrature of the defining integral, which is always valid.
+    A CUSTOM curve is linear between its knots, so the step is split there
+    and the piece exponentials are multiplied; on each piece y is g0 itself
+    and b is the piece's slope.
     """
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    if h == 0.0:
-        return np.zeros((drift.n, drift.n))
-    if drift.degenerate:
-        return kernel_product_quad(params, drift, h)
-    lam = drift.eigvals
-    u = drift.eigvecs_inv @ np.ones(drift.n)
-    v = params.omega @ drift.eigvecs
-    m = np.outer(u, v)
-    diff = lam[None, :] - lam[:, None]
-    mean = 0.5 * (lam[None, :] + lam[:, None])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d = np.exp(mean * h) * 2.0 * np.sinh(0.5 * diff * h) / diff
-    equal = np.abs(diff) == 0.0
-    if np.any(equal):
-        d[equal] = h * np.exp(np.broadcast_to(mean, d.shape)[equal] * h)
-    out = drift.eigvecs @ (m * d) @ drift.eigvecs_inv
-    return _real_part(out, "kernel-product integral")
-
-
-def chi_map(params: ModelParams, drift: DriftMatrix, h: float) -> np.ndarray:
-    """Map from the state U_s to its contribution to E_s[X Z].
-
-    chi = nu * (J(h) - phi1(A, h) 1_N omega^T) A^{-1}, with the inverse
-    applied by linear solve.  For singular A the equivalent integral
-
-        chi = nu * int_0^h exp(A (h-w)) 1_N omega^T phi1(A, w) dw
-
-    is assembled by adaptive quadrature instead.
-    """
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    n = drift.n
-    if h == 0.0:
-        return np.zeros((n, n))
-    rank_one = np.outer(np.ones(n), params.omega)
-    if drift.singular:
-        a = drift.matrix
-
-        def integrand(w):
-            return expm(a * (h - w)) @ rank_one @ phi1(a, w)
-
-        value, _ = quad_vec(integrand, 0.0, h, epsabs=_QUAD_TOL, epsrel=1e-12)
-        return params.nu * value
-    j = e_matrix_integral(params, drift, h)
-    p1 = phi1(drift.matrix, h)
-    # right-multiplication by A^{-1} via a transposed solve
-    core = j - p1 @ rank_one
-    return params.nu * np.linalg.solve(drift.matrix.T, core.T).T
-
-
-def _rk4_path(deriv, y0: np.ndarray, s: float, t: float, n_steps: int) -> np.ndarray:
-    """Classical RK4 with fixed step; returns the path at every node."""
-    h = (t - s) / n_steps
-    path = np.empty((n_steps + 1,) + y0.shape)
-    path[0] = y0
-    y = y0
-    for k in range(n_steps):
-        u = s + k * h
-        k1 = deriv(u, y)
-        k2 = deriv(u + 0.5 * h, y + 0.5 * h * k1)
-        k3 = deriv(u + 0.5 * h, y + 0.5 * h * k2)
-        k4 = deriv(u + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        path[k + 1] = y
-    return path
-
-
-# Fixed-step RK4 is only stable while |fastest decay rate| * substep stays
-# below ~2.785; widely spread mean reversion speeds (x up to ~1e2 for deep
-# lifted ladders) would otherwise blow up the fast components.  0.35 sits
-# far inside the stability boundary and keeps the fourth-order truncation
-# error small enough that doubling the substeps moves the result by less
-# than 1e-9 even over multi-year steps.
-_RK4_RESOLVE = 0.35
-
-
-def _effective_substeps(params: ModelParams, s: float, t: float, substeps: int) -> int:
-    """Requested substep count raised to resolve the fastest decay on [s, t].
-
-    The spectral radius of A is at most max(x) + lam * sum(omega) (row-sum
-    bound), so this floor is sufficient for any admissible parameter set.
-    """
-    radius = float(np.max(params.x, initial=0.0)) + params.lam * params.omega_bar
-    floor = int(np.ceil(radius * (t - s) / _RK4_RESOLVE))
-    return max(substeps, floor)
-
-
-def solve_xi(
-    params: ModelParams,
-    curve: InitialCurve,
-    s: float,
-    t: float,
-    substeps: int = 64,
-    return_path: bool = False,
-):
-    """Forced mean response xi over [s, t].
-
-    Integrates dxi/du = A xi - lam * G0(s, u) 1_N, xi_s = 0, with fixed-step
-    RK4.  ``substeps`` is a floor; stiff factor spectra raise the count so
-    the fixed step stays inside the RK4 stability region.  The path is
-    stored on the half-step grid (2 * n intervals) so that a consumer
-    running RK4 with the same effective count finds the midpoint values it
-    needs.  Returns xi_t, or (xi_t, path) when ``return_path`` is set.
-    """
-    if t < s:
-        raise ValueError("need s <= t")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    a = build_drift_matrix(params).matrix
-    ones = np.ones(params.n_states)
-
-    def deriv(u, y):
-        return a @ y - params.lam * g0_integral(s, u, params, curve) * ones
-
-    if t == s:
-        path = np.zeros((2 * substeps + 1, params.n_states))
+    n = params.n_states
+    if curve.kind is CurveKind.CUSTOM:
+        knots = curve.times[(curve.times > s) & (curve.times < t)]
+        edges = np.concatenate(([s], knots, [t]))
+        values = g0(edges, params, curve)
+        expo = np.eye(3 * n + 3)
+        for width, slope in zip(np.diff(edges), np.diff(values) / np.diff(edges)):
+            expo = expm(_generator(params, 0.0, np.ones(1), np.zeros(1), slope) * width) @ expo
+        y_s = values[:1]
     else:
-        n = _effective_substeps(params, s, t, substeps)
-        path = _rk4_path(deriv, np.zeros(params.n_states), s, t, 2 * n)
-    if return_path:
-        return path[-1], path
-    return path[-1]
-
-
-def solve_psi(
-    params: ModelParams,
-    curve: InitialCurve,
-    s: float,
-    t: float,
-    xi_path: np.ndarray,
-    substeps: int = 64,
-) -> np.ndarray:
-    """Forced covariance response psi over [s, t].
-
-    Integrates dpsi/du = A psi + nu * 1_N (omega . xi_u + G0(s, u)),
-    psi_s = 0, by RK4 on the same effective substep count as
-    :func:`solve_xi` (same stability floor), reading xi at the nodes and
-    midpoints from ``xi_path`` (the half-step layout of :func:`solve_xi`).
-    """
-    if t < s:
-        raise ValueError("need s <= t")
-    if t == s:
-        return np.zeros(params.n_states)
-    substeps = _effective_substeps(params, s, t, substeps)
-    if xi_path.shape != (2 * substeps + 1, params.n_states):
-        raise ValueError("xi_path does not match the substep layout")
-    a = build_drift_matrix(params).matrix
-    ones = np.ones(params.n_states)
-    omega = params.omega
-    h = (t - s) / substeps
-    psi = np.zeros(params.n_states)
-
-    def forcing(u, xi_val):
-        return params.nu * (float(np.dot(omega, xi_val)) + g0_integral(s, u, params, curve)) * ones
-
-    for k in range(substeps):
-        u = s + k * h
-        f0 = forcing(u, xi_path[2 * k])
-        fm = forcing(u + 0.5 * h, xi_path[2 * k + 1])
-        f1 = forcing(u + h, xi_path[2 * k + 2])
-        k1 = a @ psi + f0
-        k2 = a @ (psi + 0.5 * h * k1) + fm
-        k3 = a @ (psi + 0.5 * h * k2) + fm
-        k4 = a @ (psi + h * k3) + f1
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return psi
+        tau = s - params.t0
+        coef = params.lam * params.theta
+        if curve.kind is CurveKind.HESTON_LINEAR:
+            gen = _generator(params, params.v0, np.array([coef]), np.zeros(1), 1.0)
+            y_s = np.array([tau])
+        else:
+            # y_n = (1 - exp(-x_n tau)) / x_n, whose x_n = 0 limit is tau
+            x = params.x
+            gen = _generator(params, params.v0, coef * params.omega, x, 1.0)
+            y_s = np.where(x > 0.0, -np.expm1(-x * tau) / np.where(x > 0.0, x, 1.0), tau)
+        expo = expm(gen * (t - s))
+    z0 = np.concatenate((y_s, [1.0]))
+    forced = expo[: 2 * n, 3 * n + 1 :] @ z0
+    return expo[n : 2 * n, 2 * n : 3 * n], expo[:n, 2 * n : 3 * n], forced[n:], forced[:n]
 
 
 @dataclass(frozen=True)
@@ -337,9 +146,7 @@ class StepPrecompute:
     t_start: float
     t_end: float
     dt: float
-    exp_a_dt: np.ndarray
     phi1: np.ndarray
-    e_matrix: np.ndarray
     chi: np.ndarray
     xi: np.ndarray
     psi: np.ndarray
@@ -347,46 +154,15 @@ class StepPrecompute:
     g0_next: float
 
 
-def precompute_step(
-    params: ModelParams,
-    curve: InitialCurve,
-    t_i: float,
-    t_ip1: float,
-    substeps: int = 64,
-    drift: DriftMatrix | None = None,
-    matrix_parts: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> StepPrecompute:
-    """Bundle every state-independent quantity of one step.
-
-    ``matrix_parts`` lets a caller stepping an equidistant grid reuse
-    (exp_a_dt, phi1, e_matrix, chi), which depend on the step only
-    through its length; xi, psi and the curve integrals are refreshed
-    for every step.
-    """
+def precompute_step(params: ModelParams, curve: InitialCurve, t_i: float, t_ip1: float) -> StepPrecompute:
+    """Bundle every state-independent quantity of one step."""
     if t_ip1 <= t_i:
         raise ValueError("need t_i < t_ip1")
-    dt = t_ip1 - t_i
-    if drift is None:
-        drift = build_drift_matrix(params)
-    if matrix_parts is None:
-        exp_a_dt = expm(drift.matrix * dt)
-        p1 = phi1(drift.matrix, dt)
-        e_mat = e_matrix_integral(params, drift, dt)
-        chi = chi_map(params, drift, dt)
-    else:
-        exp_a_dt, p1, e_mat, chi = matrix_parts
-    xi_t, xi_path = solve_xi(params, curve, t_i, t_ip1, substeps, return_path=True)
-    psi_t = solve_psi(params, curve, t_i, t_ip1, xi_path, substeps)
     return StepPrecompute(
-        t_start=t_i,
-        t_end=t_ip1,
-        dt=dt,
-        exp_a_dt=exp_a_dt,
-        phi1=p1,
-        e_matrix=e_mat,
-        chi=chi,
-        xi=xi_t,
-        psi=psi_t,
-        g0_int=g0_integral(t_i, t_ip1, params, curve),
-        g0_next=float(g0(t_ip1, params, curve)),
+        t_i,
+        t_ip1,
+        t_ip1 - t_i,
+        *_step_moments(params, curve, t_i, t_ip1),
+        g0_integral(t_i, t_ip1, params, curve),
+        float(g0(t_ip1, params, curve)),
     )

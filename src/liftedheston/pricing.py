@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .numerics import build_drift_matrix, phi1, solve_xi
+from .numerics import _step_moments
 from .params import InitialCurve, ModelParams, g0_integral
 
 __all__ = [
@@ -57,7 +57,6 @@ def vix_from_state(
     params: ModelParams,
     curve: InitialCurve,
     horizon: float = 1.0 / 12.0,
-    substeps: int = 64,
 ) -> tuple[np.ndarray, int]:
     """VIX values from factor states at time t.
 
@@ -72,9 +71,7 @@ def vix_from_state(
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[1] != params.n_states:
         raise ValueError("state width does not match n_states")
-    drift = build_drift_matrix(params)
-    p1 = phi1(drift.matrix, horizon)
-    xi = solve_xi(params, curve, t, t + horizon, substeps)
+    p1, _, xi, _ = _step_moments(params, curve, t, t + horizon)
     g0_int = g0_integral(t, t + horizon, params, curve)
     cond_mean = (u @ p1.T + xi) @ params.omega + g0_int
     clamped = int(np.count_nonzero(cond_mean < 0.0))

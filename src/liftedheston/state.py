@@ -104,7 +104,6 @@ class SimDiagnostics:
     clamped_variance_values: int = 0
     degenerate_mean_draws: int = 0
     negative_variance_paths: int = 0
-    clamped_vix_values: int = 0
 
     @property
     def constrained_fraction(self) -> float:

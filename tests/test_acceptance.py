@@ -139,17 +139,17 @@ def test_criterion_06_e_matrix():
         p = ModelParams(n, float(rng.uniform(0.0, 2.0)), 0.3, 0.04, 0.04, 0.0, omega, x)
         drift = build_drift_matrix(p)
         h = float(rng.uniform(0.1, 2.5))
-        em = e_matrix_integral(p, drift, h)
+        em = e_matrix_integral(p, h)
         ones = np.ones((n, 1))
         wrow = p.omega[None, :]
 
-        def integrand(u, a=drift.matrix, hh=h):
+        def integrand(u, a=drift, hh=h):
             return expm(a * (hh - u)) @ ones @ wrow @ expm(a * u)
 
         ref = quad_vec(integrand, 0.0, h, epsabs=1e-12)[0]
         worst = max(worst, float(np.max(np.abs(em - ref))))
     heston = ModelParams(1, 2.0, 0.2, 0.04, 0.04, 0.0, np.array([1.0]), np.array([0.0]))
-    em = e_matrix_integral(heston, build_drift_matrix(heston), 0.8)
+    em = e_matrix_integral(heston, 0.8)
     worst = max(worst, abs(float(em[0, 0]) - 0.8 * np.exp(-1.6)))
     worst_phi = 0.0
     for _ in range(10):

@@ -2,6 +2,8 @@
 
 import filecmp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +144,22 @@ def test_cli_error_exits(tmp_path, capsys):
     assert "multiples of 13" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["unknown-command"])
+
+
+def test_library_errors_exit_2_with_one_line(tmp_path):
+    # t0 = 0.5 moves the vix grid off the hard-coded observation time 1.0;
+    # the driver's ValueError must reach the user as exit 2, not a traceback
+    cfg = tmp_path / "vix.cfg"
+    cfg.write_text("preset = set1\nt0 = 0.5\nsteps = 13\npaths = 50\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "liftedheston.cli", "vix", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: ") and "not a grid point" in lines[0]
+    assert "Traceback" not in proc.stderr
 
 
 def test_converge_benchmark_reuse_gives_zero_error_rows(tmp_path):

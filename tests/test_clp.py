@@ -181,7 +181,7 @@ def test_step_conditional_means_match_quadrature(set1, curve):
     mx, sex = np.mean(out.x_cum), np.std(out.x_cum, ddof=1) / np.sqrt(n)
     assert abs(mx - alpha) < 4 * sex, f"z={(mx - alpha) / sex:.2f}"
 
-    a = build_drift_matrix(set1).matrix
+    a = build_drift_matrix(set1)
     def forcing(s):
         return expm(a * (h - s)) @ (-set1.lam * np.ones(5) * float(g0(s, set1, curve)))
     eu = expm(a * h) @ u0 + quad_vec(forcing, 0.0, h, epsabs=1e-12)[0]

@@ -1,8 +1,8 @@
-"""Step precomputation: drift matrix, phi1, kernel integrals, xi/psi ODEs."""
+"""Step precomputation: drift matrix, phi1, kernel integrals, step moments."""
 
 import numpy as np
 import pytest
-from scipy.integrate import quad_vec
+from scipy.integrate import quad_vec, solve_ivp
 from scipy.linalg import expm
 
 from liftedheston import (
@@ -10,12 +10,12 @@ from liftedheston import (
     ModelParams,
     build_drift_matrix,
     e_matrix_integral,
+    expected_integrated_variance,
+    g0,
+    g0_integral,
     phi1,
     precompute_step,
-    solve_psi,
-    solve_xi,
 )
-from liftedheston.numerics import chi_map
 
 
 def random_params(rng, n_states=None):
@@ -45,10 +45,33 @@ def e_matrix_quad(params, a, h):
     return quad_vec(integrand, 0.0, h, epsabs=1e-12)[0]
 
 
+def forced_responses_ode(params, curve, s, t):
+    """xi and psi over [s, t] by DOP853 on their defining ODEs
+
+        dxi/du  = A xi - lam G0(s, u) 1_N,                  xi_s  = 0,
+        dpsi/du = A psi + nu 1_N (omega . xi_u + G0(s, u)), psi_s = 0,
+
+    with G0(s, u) the running integral of the initial curve."""
+    a = build_drift_matrix(params)
+    n = params.n_states
+    ones = np.ones(n)
+
+    def rhs(u, y):
+        xi, psi = y[:n], y[n:]
+        g_int = g0_integral(s, u, params, curve)
+        return np.concatenate(
+            (a @ xi - params.lam * g_int * ones, a @ psi + params.nu * (params.omega @ xi + g_int) * ones)
+        )
+
+    sol = solve_ivp(rhs, (s, t), np.zeros(2 * n), method="DOP853", rtol=1e-12, atol=1e-15)
+    assert sol.success
+    return sol.y[:n, -1], sol.y[n:, -1]
+
+
 def test_drift_matrix_structure(set1):
     drift = build_drift_matrix(set1)
     expect = -np.diag(set1.x) - set1.lam * np.outer(np.ones(5), set1.omega)
-    assert np.allclose(drift.matrix, expect, atol=1e-15)
+    assert np.allclose(drift, expect, atol=1e-15)
 
 
 def test_phi1_identity_random():
@@ -77,18 +100,16 @@ def test_e_matrix_against_quadrature():
     rng = np.random.default_rng(77)
     for _ in range(6):
         p = random_params(rng)
-        drift = build_drift_matrix(p)
         h = float(rng.uniform(0.1, 2.0))
-        em = e_matrix_integral(p, drift, h)
-        ref = e_matrix_quad(p, drift.matrix, h)
+        em = e_matrix_integral(p, h)
+        ref = e_matrix_quad(p, build_drift_matrix(p), h)
         assert np.max(np.abs(em - ref)) < 1e-8, f"n={p.n_states} h={h}"
 
 
 def test_e_matrix_heston_scalar():
     p = ModelParams(1, 2.0, 0.2, 0.04, 0.04, 0.0, np.array([1.0]), np.array([0.0]))
-    drift = build_drift_matrix(p)
     h = 0.8
-    em = e_matrix_integral(p, drift, h)
+    em = e_matrix_integral(p, h)
     # A = -lam, integrand e^{-lam h}: closed form h e^{-lam h}
     assert em[0, 0] == pytest.approx(h * np.exp(-2.0 * h), rel=1e-12)
 
@@ -96,23 +117,20 @@ def test_e_matrix_heston_scalar():
 def test_e_matrix_repeated_eigenvalues():
     # equal speeds with lam = 0 give a genuinely degenerate spectrum
     p = ModelParams(2, 0.0, 0.3, 0.04, 0.04, 0.0, np.array([0.7, 0.5]), np.array([1.3, 1.3]))
-    drift = build_drift_matrix(p)
-    assert drift.degenerate
-    em = e_matrix_integral(p, drift, 0.5)
-    ref = e_matrix_quad(p, drift.matrix, 0.5)
+    em = e_matrix_integral(p, 0.5)
+    ref = e_matrix_quad(p, build_drift_matrix(p), 0.5)
     assert np.max(np.abs(em - ref)) < 1e-10
 
 
-def test_chi_map_against_quadrature():
-    """Cross-check the closed-form chi against direct quadrature of the
-    defining integral nu int e^{A(h-u)} 1 omega^T phi1(A, u) du."""
+def test_chi_map_against_quadrature(curve):
+    """Cross-check chi from the step exponential against direct quadrature
+    of the defining integral nu int e^{A(h-u)} 1 omega^T phi1(A, u) du."""
     rng = np.random.default_rng(3)
     for _ in range(5):
         p = random_params(rng)
-        drift = build_drift_matrix(p)
         h = float(rng.uniform(0.1, 1.5))
-        chi = chi_map(p, drift, h)
-        a = drift.matrix
+        chi = precompute_step(p, curve, 0.0, h).chi
+        a = build_drift_matrix(p)
         ones = np.ones((p.n_states, 1))
         wrow = p.omega[None, :]
 
@@ -126,40 +144,74 @@ def test_chi_map_against_quadrature():
 def test_xi_psi_closed_forms_lam_zero(set3, curve):
     """With lam = 0 the factor means stay at zero, so xi vanishes and the
     driver cross moment has an explicit exponential form; the stiff Set 3
-    speeds at a 2.15 step make this the regression test for substep
-    stability of the integrators."""
+    speeds at a 2.15 step make this the regression test for stiff spectra."""
     h = 2.15
     x = set3.x
-    xi, xi_path = solve_xi(set3, curve, 0.0, h, return_path=True)
-    assert np.max(np.abs(xi)) == 0.0
-    psi = solve_psi(set3, curve, 0.0, h, xi_path)
+    pre = precompute_step(set3, curve, 0.0, h)
+    assert np.max(np.abs(pre.xi)) == 0.0
     psi_exact = set3.nu * set3.v0 * (h / x - (1.0 - np.exp(-x * h)) / x**2)
-    assert np.max(np.abs(psi - psi_exact) / psi_exact) < 1e-8
-    assert np.all(np.isfinite(psi))
+    assert np.max(np.abs(pre.psi - psi_exact) / psi_exact) < 1e-8
+    assert np.all(np.isfinite(pre.psi))
 
 
-def test_xi_psi_substep_doubling(set3, set1, curve):
-    # doubling the substep count must not move the integrals once the
-    # stability floor has kicked in
-    for p, h in ((set3, 2.15), (set1, 5.0)):
-        a = precompute_step(p, curve, 0.0, h, substeps=64)
-        b = precompute_step(p, curve, 0.0, h, substeps=128)
-        assert np.max(np.abs(a.xi - b.xi)) < 1e-9
-        assert np.max(np.abs(a.psi - b.psi)) < 1e-9
+def test_xi_psi_against_ode_reference(set3, set1, curve):
+    # stiff speeds over multi-year steps, from t0 and from an interior time
+    for p, s, t in ((set3, 0.0, 2.15), (set1, 0.0, 5.0), (set1, 1.0, 3.15)):
+        pre = precompute_step(p, curve, s, t)
+        xi, psi = forced_responses_ode(p, curve, s, t)
+        assert np.max(np.abs(pre.xi - xi)) < 1e-10
+        assert np.max(np.abs(pre.psi - psi)) < 1e-10
 
 
-def test_precompute_matrix_parts_reuse(set1, curve):
+def test_precompute_matrix_blocks_depend_on_dt_only(set1, curve):
     first = precompute_step(set1, curve, 0.0, 0.5)
-    parts = (first.exp_a_dt, first.phi1, first.e_matrix, first.chi)
-    second = precompute_step(set1, curve, 0.5, 1.0, matrix_parts=parts)
-    fresh = precompute_step(set1, curve, 0.5, 1.0)
-    # matrix blocks depend on the step only through its length
-    assert np.allclose(second.exp_a_dt, fresh.exp_a_dt, atol=1e-14)
-    assert np.allclose(second.chi, fresh.chi, atol=1e-14)
+    second = precompute_step(set1, curve, 0.5, 1.0)
+    # phi1 and chi depend on the step only through its length
+    assert np.array_equal(first.phi1, second.phi1)
+    assert np.array_equal(first.chi, second.chi)
     # the curve-driven pieces are refreshed per step
-    assert np.allclose(second.xi, fresh.xi, atol=1e-14)
-    assert second.g0_next == pytest.approx(fresh.g0_next, abs=1e-14)
+    xi, psi = forced_responses_ode(set1, curve, 0.5, 1.0)
+    assert np.max(np.abs(first.xi - second.xi)) > 1e-4
+    assert np.max(np.abs(second.xi - xi)) < 1e-10
+    assert np.max(np.abs(second.psi - psi)) < 1e-10
+    assert second.g0_int == pytest.approx(g0_integral(0.5, 1.0, set1, curve), abs=1e-15)
+    assert second.g0_next == pytest.approx(float(g0(1.0, set1, curve)), abs=1e-15)
     assert first.g0_int != pytest.approx(second.g0_int, abs=1e-12)
+    assert first.g0_next != pytest.approx(second.g0_next, abs=1e-12)
+
+
+@pytest.mark.parametrize("dt", [1.0 / 78.0, 0.5, 5.0])
+def test_one_step_mean_matches_volterra_mean(set1, set2, set3, curve, dt):
+    """From U = 0 at t0 the step's mean integrated variance omega . xi + G0
+    equals the independent Volterra mean solve over [t0, t0 + dt]."""
+    deep = ModelParams.from_hurst(100, 0.05, lam=0.3, nu=0.3, v0=0.02, theta=0.1, rho=-0.7)
+    for p in (set1, set2, set3, deep):
+        pre = precompute_step(p, curve, p.t0, p.t0 + dt)
+        mean = float(p.omega @ pre.xi) + pre.g0_int
+        ref = expected_integrated_variance(p.t0 + dt, p, curve)
+        assert abs(mean - ref) < 1e-8 * max(1.0, dt), f"n={p.n_states} dt={dt}"
+
+
+def test_custom_curve_tabulating_linear_matches_heston_linear(set1):
+    linear = InitialCurve.heston_linear()
+    slope = set1.lam * set1.theta
+    table = InitialCurve.custom([0.0, 4.0, 10.0], [set1.v0, set1.v0 + 4.0 * slope, set1.v0 + 10.0 * slope])
+    for s, t in ((0.0, 0.5), (1.0, 5.5)):
+        a, b = precompute_step(set1, linear, s, t), precompute_step(set1, table, s, t)
+        for field in ("phi1", "chi", "xi", "psi"):
+            ref, got = getattr(a, field), getattr(b, field)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), field
+        assert b.g0_int == pytest.approx(a.g0_int, rel=1e-12)
+        assert b.g0_next == pytest.approx(a.g0_next, rel=1e-12)
+
+
+def test_custom_curve_kinks_inside_step(set1):
+    kinked = InitialCurve.custom([0.0, 0.3, 0.7, 2.0], [set1.v0, 0.05, 0.03, 0.06])
+    for s, t in ((0.1, 0.9), (0.0, 2.0), (0.3, 0.5)):
+        pre = precompute_step(set1, kinked, s, t)
+        xi, psi = forced_responses_ode(set1, kinked, s, t)
+        assert np.max(np.abs(pre.xi - xi)) < 1e-10
+        assert np.max(np.abs(pre.psi - psi)) < 1e-10
 
 
 def test_precompute_rejects_empty_step(set1, curve):
