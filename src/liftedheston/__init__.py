@@ -9,7 +9,7 @@ experiment harness.
 """
 
 from .clp import ProjectionCoeffs, clp_step, constrain_beta, simulate_clp, step_coefficients
-from .euler import EulerConfig, VarianceFix, euler_step, simulate_euler
+from .euler import VarianceFix, euler_step, simulate_euler
 from .numerics import StepPrecompute, build_drift_matrix, e_matrix_integral, phi1, precompute_step
 from .params import (
     CurveKind,
@@ -33,17 +33,15 @@ from .pricing import (
     price_european,
     vix_from_state,
 )
-from .sampling import RngStream, correlated_pair, sample_inverse_gaussian, sample_standard_normal
-from .state import PathSnapshot, PathState, SimDiagnostics, SimOutput, mean_se, variance_se_bootstrap
+from .sampling import RngStream, correlated_pair, sample_inverse_gaussian
+from .state import PathState, SimDiagnostics, SimOutput, mean_se, variance_se_bootstrap
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CurveKind",
-    "EulerConfig",
     "InitialCurve",
     "ModelParams",
-    "PathSnapshot",
     "PathState",
     "PriceQuote",
     "ProjectionCoeffs",
@@ -75,7 +73,6 @@ __all__ = [
     "precompute_step",
     "price_european",
     "sample_inverse_gaussian",
-    "sample_standard_normal",
     "simulate_clp",
     "simulate_euler",
     "step_coefficients",

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .clp import simulate_clp, step_coefficients
-from .euler import EulerConfig, VarianceFix, simulate_euler
+from .euler import VarianceFix, simulate_euler
 from .numerics import precompute_step
 from .params import InitialCurve, ModelParams
 from .pricing import VixSpec, implied_vol_black, price_european, vix_from_state
@@ -310,9 +310,8 @@ def _run_scheme(cfg: ExperimentConfig, grid, stream: RngStream, snapshot_times=(
     params = cfg.build_params()
     curve = cfg.build_curve()
     if cfg.scheme == "euler":
-        econf = EulerConfig(fix=VarianceFix(cfg.fix))
         return simulate_euler(
-            params, curve, grid, cfg.n_paths, stream, config=econf, snapshot_times=snapshot_times
+            params, curve, grid, cfg.n_paths, stream, VarianceFix(cfg.fix), snapshot_times
         )
     return simulate_clp(params, curve, grid, cfg.n_paths, stream, snapshot_times=snapshot_times)
 
@@ -548,10 +547,11 @@ def cmd_sensitivity(cfg: ExperimentConfig) -> None:
 def cmd_vix(cfg: ExperimentConfig) -> None:
     """VIX option smiles per step count; quotes taken out of the money.
 
-    Step counts must be multiples of 13 so the observation time T = 1
-    lies on the grid for the horizon T + 1/12.  Each count runs on its
-    own seed stream; per strike the emitted implied vol inverts the
-    out-of-the-money quote (puts below the forward, calls at or above).
+    Step counts must be multiples of 13 so the observation time t0 + 1
+    lies on the grid that ends one VIX horizon (1/12) later.  Each count
+    runs on its own seed stream; per strike the emitted implied vol
+    inverts the out-of-the-money quote (puts below the forward, calls at
+    or above).
     A NaN implied vol marks a quote outside the invertible range.
     """
     spec = VixSpec()
@@ -565,16 +565,18 @@ def cmd_vix(cfg: ExperimentConfig) -> None:
             raise ConfigError("vix steps must be positive multiples of 13")
         steps.append(count)
 
-    horizon_end = spec.t + spec.horizon
+    # the option matures spec.t after t0; the model clock reads t0 + spec.t
+    t_obs = params.t0 + spec.t
+    horizon_end = t_obs + spec.horizon
     out_dir = Path(cfg.out_dir)
     summary_rows = []
     for j, count in enumerate(steps):
         grid = np.linspace(params.t0, horizon_end, count + 1)
         out = _run_scheme(
-            cfg, grid, RngStream(cfg.seed, stream_id=_STREAM_VIX_BASE + j), snapshot_times=(spec.t,)
+            cfg, grid, RngStream(cfg.seed, stream_id=_STREAM_VIX_BASE + j), snapshot_times=(t_obs,)
         )
-        snap = out.snapshots[spec.t]
-        vix, clamped = vix_from_state(snap.u, spec.t, params, curve, spec.horizon)
+        snap = out.snapshots[t_obs]
+        vix, clamped = vix_from_state(snap.u, t_obs, params, curve, spec.horizon)
         neg_paths = out.diagnostics.negative_variance_paths
         forward, forward_se = mean_se(vix)
         rows = []

@@ -20,6 +20,9 @@ discounted price stays a martingale exactly (the inverse Gaussian
 moment generating function cancels the drift correction in closed
 form).  Variance nonnegativity is enforced pathwise by step 2 rather
 than by truncation, which is what keeps large steps honest.
+
+``simulate_clp`` runs this step over a grid through the driver in
+``state.py`` that the Euler baseline shares.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import StepPrecompute, precompute_step
-from .params import InitialCurve, ModelParams, g0
+from .params import InitialCurve, ModelParams
 from .sampling import RngStream, sample_inverse_gaussian
-from .state import PathSnapshot, PathState, SimDiagnostics, SimOutput
+from .state import PathState, SimDiagnostics, SimOutput, _simulate
 
 __all__ = [
     "ProjectionCoeffs",
@@ -255,28 +258,6 @@ def clp_step(
     )
 
 
-def _check_curve(params: ModelParams, curve: InitialCurve) -> None:
-    v_at_t0 = float(g0(params.t0, params, curve))
-    if abs(v_at_t0 - params.v0) > 1e-10:
-        raise ValueError(
-            f"initial curve value {v_at_t0:.6g} at t0 does not match v0={params.v0:.6g}"
-        )
-
-
-def _check_grid(grid: np.ndarray, params: ModelParams, allow_late_start: bool = False) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("grid must be one-dimensional with at least two times")
-    if allow_late_start:
-        if grid[0] < params.t0 - 1e-12:
-            raise ValueError("grid must not start before t0")
-    elif abs(grid[0] - params.t0) > 1e-12:
-        raise ValueError("grid must start at t0")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    return grid
-
-
 def simulate_clp(
     params: ModelParams,
     curve: InitialCurve,
@@ -284,7 +265,6 @@ def simulate_clp(
     n_paths: int,
     seed: int | RngStream,
     snapshot_times=(),
-    record_step_means: bool = False,
     initial: PathState | None = None,
 ) -> SimOutput:
     """Simulate all paths over the grid with the projection scheme.
@@ -292,55 +272,12 @@ def simulate_clp(
     ``seed`` may be an integer (wrapped as stream_id 0) or a ready
     :class:`RngStream`.  ``snapshot_times`` must be grid points; the full
     batch state is copied there, e.g. to price forward-starting payoffs.
-    ``initial`` restarts from an interior state instead of (U=0, v0);
-    its time must equal grid[0].
+    ``initial`` restarts from an interior state, such as a snapshot,
+    instead of (U=0, v0); its time must equal grid[0].
     """
-    grid = _check_grid(grid, params, allow_late_start=initial is not None)
-    _check_curve(params, curve)
-    stream = seed if isinstance(seed, RngStream) else RngStream(int(seed))
-    if initial is None:
-        state = PathState.initial(params, n_paths)
-    else:
-        if abs(initial.t - grid[0]) > 1e-12:
-            raise ValueError("initial state time must equal grid[0]")
-        if initial.n_paths != n_paths:
-            raise ValueError("initial state does not hold n_paths paths")
-        state = initial.copy()
-    diagnostics = SimDiagnostics(scheme="clp", n_paths=n_paths, n_steps=grid.size - 1)
-    snapshot_times = [float(t) for t in snapshot_times]
-    for t_snap in snapshot_times:
-        if not np.any(np.abs(grid - t_snap) <= 1e-12):
-            raise ValueError(f"snapshot time {t_snap} is not a grid point")
-    snapshots: dict[float, PathSnapshot] = {}
-    mean_v = np.empty(grid.size) if record_step_means else None
-    mean_x = np.empty(grid.size) if record_step_means else None
-    if record_step_means:
-        mean_v[0] = float(np.mean(state.v))
-        mean_x[0] = 0.0
 
-    def _maybe_snapshot(st: PathState):
-        for t_snap in snapshot_times:
-            if abs(st.t - t_snap) <= 1e-12:
-                snapshots[t_snap] = PathSnapshot(
-                    st.t, st.log_s.copy(), st.u.copy(), st.v.copy(), st.x_cum.copy(), st.z_cum.copy()
-                )
+    def step(state, t, t_next, stream, diagnostics):
+        pre = precompute_step(params, curve, t, t_next)
+        return clp_step(state, pre, params, stream, diagnostics)
 
-    _maybe_snapshot(state)
-    for i in range(grid.size - 1):
-        pre = precompute_step(params, curve, float(grid[i]), float(grid[i + 1]))
-        state = clp_step(state, pre, params, stream, diagnostics)
-        _maybe_snapshot(state)
-        if record_step_means:
-            mean_v[i + 1] = float(np.mean(state.v))
-            mean_x[i + 1] = float(np.mean(state.x_cum))
-    return SimOutput(
-        times=grid,
-        s=np.exp(state.log_s),
-        v=state.v,
-        x=state.x_cum,
-        z=state.z_cum,
-        diagnostics=diagnostics,
-        snapshots=snapshots,
-        step_mean_v=mean_v,
-        step_mean_x=mean_x,
-    )
+    return _simulate(step, "clp", params, curve, grid, n_paths, seed, snapshot_times, initial)

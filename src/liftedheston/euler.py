@@ -10,20 +10,22 @@ where V+ is the configured negative-variance fix applied to the cached
 variance.  Integrated variance is accumulated by the trapezoid rule on
 the fixed values, and the driver integral Z by sqrt(V+) dW2, for use as
 a convergence benchmark against the projection scheme.
+
+``simulate_euler`` runs the step over a grid through the driver in
+``state.py`` that the projection scheme shares.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .params import InitialCurve, ModelParams, g0
 from .sampling import RngStream, correlated_pair
-from .state import PathSnapshot, PathState, SimDiagnostics, SimOutput
+from .state import PathState, SimDiagnostics, SimOutput, _simulate
 
-__all__ = ["VarianceFix", "EulerConfig", "euler_step", "simulate_euler"]
+__all__ = ["VarianceFix", "euler_step", "simulate_euler"]
 
 
 class VarianceFix(enum.Enum):
@@ -39,11 +41,6 @@ class VarianceFix(enum.Enum):
     ABSORPTION = "absorption"
 
 
-@dataclass(frozen=True)
-class EulerConfig:
-    fix: VarianceFix = VarianceFix.FULL_TRUNCATION
-
-
 def _fixed(v: np.ndarray, fix: VarianceFix) -> np.ndarray:
     if fix is VarianceFix.REFLECTION:
         return np.abs(v)
@@ -55,16 +52,16 @@ def euler_step(
     t_next: float,
     params: ModelParams,
     curve: InitialCurve,
-    config: EulerConfig,
     stream: RngStream,
     diagnostics: SimDiagnostics | None = None,
+    fix: VarianceFix = VarianceFix.FULL_TRUNCATION,
 ) -> PathState:
     """Advance all paths to ``t_next``; two correlated normals per path."""
     dt = t_next - state.t
     if dt <= 0:
         raise ValueError("t_next must exceed the state time")
     n = state.n_paths
-    v_fix = _fixed(state.v, config.fix)
+    v_fix = _fixed(state.v, fix)
     z1, z2 = correlated_pair(stream, params.rho, size=n)
     sq_dw = np.sqrt(v_fix * dt)
     dw1 = sq_dw * z1
@@ -76,7 +73,7 @@ def euler_step(
     )
     g0_next = float(g0(t_next, params, curve))
     v_new = u_new @ params.omega + g0_next
-    if config.fix is VarianceFix.ABSORPTION:
+    if fix is VarianceFix.ABSORPTION:
         below = v_new < 0.0
         if np.any(below):
             # scale the factor vector toward zero until omega.u = -g0;
@@ -85,7 +82,7 @@ def euler_step(
             u_new[below] *= scale[:, None]
             v_new[below] = 0.0
     log_s_new = state.log_s + (params.rate - 0.5 * v_fix) * dt + dw1
-    x_new = state.x_cum + 0.5 * dt * (v_fix + _fixed(v_new, config.fix))
+    x_new = state.x_cum + 0.5 * dt * (v_fix + _fixed(v_new, fix))
     z_new = state.z_cum + dw2
     if diagnostics is not None:
         diagnostics.total_draws += n
@@ -99,66 +96,18 @@ def simulate_euler(
     grid,
     n_paths: int,
     seed: int | RngStream,
-    config: EulerConfig = EulerConfig(),
+    fix: VarianceFix = VarianceFix.FULL_TRUNCATION,
     snapshot_times=(),
-    record_step_means: bool = False,
     initial: PathState | None = None,
 ) -> SimOutput:
     """Simulate all paths over the grid with the Euler baseline.
 
-    Interface mirrors :func:`liftedheston.clp.simulate_clp`; the output
-    additionally reports how many paths ever saw a negative variance.
+    Interface mirrors :func:`liftedheston.clp.simulate_clp`, plus the
+    negative-variance ``fix``; the diagnostics report how many paths ever
+    saw a negative variance.
     """
-    from .clp import _check_curve, _check_grid
 
-    grid = _check_grid(grid, params, allow_late_start=initial is not None)
-    _check_curve(params, curve)
-    stream = seed if isinstance(seed, RngStream) else RngStream(int(seed))
-    if initial is None:
-        state = PathState.initial(params, n_paths)
-    else:
-        if abs(initial.t - grid[0]) > 1e-12:
-            raise ValueError("initial state time must equal grid[0]")
-        if initial.n_paths != n_paths:
-            raise ValueError("initial state does not hold n_paths paths")
-        state = initial.copy()
-    diagnostics = SimDiagnostics(scheme="euler", n_paths=n_paths, n_steps=grid.size - 1)
-    snapshot_times = [float(t) for t in snapshot_times]
-    for t_snap in snapshot_times:
-        if not np.any(np.abs(grid - t_snap) <= 1e-12):
-            raise ValueError(f"snapshot time {t_snap} is not a grid point")
-    snapshots: dict[float, PathSnapshot] = {}
-    mean_v = np.empty(grid.size) if record_step_means else None
-    mean_x = np.empty(grid.size) if record_step_means else None
-    if record_step_means:
-        mean_v[0] = float(np.mean(state.v))
-        mean_x[0] = 0.0
-    ever_negative = np.zeros(n_paths, dtype=bool)
+    def step(state, t, t_next, stream, diagnostics):
+        return euler_step(state, t_next, params, curve, stream, diagnostics, fix)
 
-    def _maybe_snapshot(st: PathState):
-        for t_snap in snapshot_times:
-            if abs(st.t - t_snap) <= 1e-12:
-                snapshots[t_snap] = PathSnapshot(
-                    st.t, st.log_s.copy(), st.u.copy(), st.v.copy(), st.x_cum.copy(), st.z_cum.copy()
-                )
-
-    _maybe_snapshot(state)
-    for i in range(grid.size - 1):
-        state = euler_step(state, float(grid[i + 1]), params, curve, config, stream, diagnostics)
-        ever_negative |= state.v < 0.0
-        _maybe_snapshot(state)
-        if record_step_means:
-            mean_v[i + 1] = float(np.mean(state.v))
-            mean_x[i + 1] = float(np.mean(state.x_cum))
-    diagnostics.negative_variance_paths = int(np.count_nonzero(ever_negative))
-    return SimOutput(
-        times=grid,
-        s=np.exp(state.log_s),
-        v=state.v,
-        x=state.x_cum,
-        z=state.z_cum,
-        diagnostics=diagnostics,
-        snapshots=snapshots,
-        step_mean_v=mean_v,
-        step_mean_x=mean_x,
-    )
+    return _simulate(step, "euler", params, curve, grid, n_paths, seed, snapshot_times, initial)

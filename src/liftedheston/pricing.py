@@ -105,7 +105,6 @@ class PriceQuote:
     strike: float
     kind: str
     n_paths: int
-    implied_vol: float = float("nan")
 
 
 def price_european(

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "RngStream",
-    "sample_standard_normal",
     "sample_inverse_gaussian",
     "correlated_pair",
 ]
@@ -40,11 +39,6 @@ class RngStream:
 
     def uniform(self, size=None):
         return self._gen.random(size)
-
-
-def sample_standard_normal(stream: RngStream, size=None):
-    """Standard normal draws from the stream."""
-    return stream.normal(size)
 
 
 def sample_inverse_gaussian(stream: RngStream, mu, gamma, size=None):

@@ -1,8 +1,11 @@
-"""Shared path-state and simulation-output containers.
+"""Shared path state, simulation driver and output containers.
 
 Both schemes advance the same batch state: log price, factor vector,
 cached variance and running integrated variance, arrays over paths with
-the factor dimension last.  A single path is just a batch of one.
+the factor dimension last.  A single path is just a batch of one.  They
+differ only in how one step advances it, so one driver walks the grid
+for both: it validates the inputs, restarts from a given state, copies
+the state at snapshot times and assembles the output.
 """
 
 from __future__ import annotations
@@ -11,9 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import g0
+from .sampling import RngStream
+
 __all__ = [
     "PathState",
-    "PathSnapshot",
     "SimDiagnostics",
     "SimOutput",
     "mean_se",
@@ -67,27 +72,15 @@ class PathState:
         )
 
 
-@dataclass(frozen=True)
-class PathSnapshot:
-    """Frozen copy of the batch state at a requested grid time."""
-
-    t: float
-    log_s: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    x_cum: np.ndarray
-    z_cum: np.ndarray
-
-
 @dataclass
 class SimDiagnostics:
     """Counters and extrema collected while stepping.
 
     ``min_variance`` tracks the variance cache across every step and
     path.  The projection fields stay at their neutral values for the
-    Euler scheme; ``negative_variance_paths`` counts paths whose raw
-    variance ever went negative (Euler only, the projection scheme
-    cannot).  ``degenerate_mean_draws`` counts path-steps that took the
+    Euler scheme; ``negative_variance_paths`` counts paths whose
+    variance ever went negative (always 0 for the projection scheme,
+    whose step clamps roundoff to zero).  ``degenerate_mean_draws`` counts path-steps that took the
     deterministic limit step because the projected conditional mean came
     out nonpositive; nonzero counts only appear at very large steps.
     """
@@ -112,17 +105,14 @@ class SimDiagnostics:
 
 @dataclass
 class SimOutput:
-    """Terminal samples plus optional snapshots and per-step means."""
+    """Terminal samples plus copies of the state at snapshot times."""
 
-    times: np.ndarray
     s: np.ndarray
     v: np.ndarray
     x: np.ndarray
     z: np.ndarray
     diagnostics: SimDiagnostics
-    snapshots: dict[float, PathSnapshot] = field(default_factory=dict)
-    step_mean_v: np.ndarray | None = None
-    step_mean_x: np.ndarray | None = None
+    snapshots: dict[float, PathState] = field(default_factory=dict)
 
     def summary(self) -> dict[str, float]:
         """Means and variances of the terminal samples with standard errors."""
@@ -134,6 +124,65 @@ class SimOutput:
         out["var_x"] = float(np.var(self.x, ddof=1))
         out["se_var_x"] = variance_se_bootstrap(self.x)
         return out
+
+
+def _simulate(
+    step, scheme: str, params, curve, grid, n_paths: int, seed, snapshot_times=(), initial=None
+) -> SimOutput:
+    """Advance all paths over the grid with ``step``; see ``simulate_clp``.
+
+    ``step(state, t, t_next, stream, diagnostics)`` returns the state at
+    ``t_next``.  The grid starts at t0, or at the time of ``initial``
+    when restarting; snapshots are ``PathState`` copies, so one can be
+    passed back as ``initial``.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("grid must be one-dimensional with at least two times")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    v_at_t0 = float(g0(params.t0, params, curve))
+    if abs(v_at_t0 - params.v0) > 1e-10:
+        raise ValueError(
+            f"initial curve value {v_at_t0:.6g} at t0 does not match v0={params.v0:.6g}"
+        )
+    if initial is None:
+        if abs(grid[0] - params.t0) > 1e-12:
+            raise ValueError("grid must start at t0")
+        state = PathState.initial(params, n_paths)
+    else:
+        if grid[0] < params.t0 - 1e-12:
+            raise ValueError("grid must not start before t0")
+        if abs(initial.t - grid[0]) > 1e-12:
+            raise ValueError("initial state time must equal grid[0]")
+        if initial.n_paths != n_paths:
+            raise ValueError("initial state does not hold n_paths paths")
+        state = initial.copy()
+    snapshot_times = [float(t) for t in snapshot_times]
+    for t_snap in snapshot_times:
+        if not np.any(np.abs(grid - t_snap) <= 1e-12):
+            raise ValueError(f"snapshot time {t_snap} is not a grid point")
+    stream = seed if isinstance(seed, RngStream) else RngStream(int(seed))
+
+    diagnostics = SimDiagnostics(scheme=scheme, n_paths=n_paths, n_steps=grid.size - 1)
+    snapshots: dict[float, PathState] = {}
+    ever_negative = np.zeros(n_paths, dtype=bool)
+    for i in range(grid.size):
+        if i > 0:
+            state = step(state, float(grid[i - 1]), float(grid[i]), stream, diagnostics)
+            ever_negative |= state.v < 0.0
+        for t_snap in snapshot_times:
+            if abs(grid[i] - t_snap) <= 1e-12:
+                snapshots[t_snap] = state.copy()
+    diagnostics.negative_variance_paths = int(np.count_nonzero(ever_negative))
+    return SimOutput(
+        s=np.exp(state.log_s),
+        v=state.v,
+        x=state.x_cum,
+        z=state.z_cum,
+        diagnostics=diagnostics,
+        snapshots=snapshots,
+    )
 
 
 def mean_se(samples: np.ndarray) -> tuple[float, float]:

@@ -147,18 +147,18 @@ def test_cli_error_exits(tmp_path, capsys):
 
 
 def test_library_errors_exit_2_with_one_line(tmp_path):
-    # t0 = 0.5 moves the vix grid off the hard-coded observation time 1.0;
-    # the driver's ValueError must reach the user as exit 2, not a traceback
-    cfg = tmp_path / "vix.cfg"
-    cfg.write_text("preset = set1\nt0 = 0.5\nsteps = 13\npaths = 50\n")
+    # an explicit grid that starts after t0 passes config validation; the
+    # driver's ValueError must reach the user as exit 2, not a traceback
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("preset = set1\ntimes = 0.1,1.0\npaths = 50\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "liftedheston.cli", "vix", "--config", str(cfg),
+        [sys.executable, "-m", "liftedheston.cli", "simulate", "--config", str(cfg),
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, timeout=600)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
-    assert lines[0].startswith("error: ") and "not a grid point" in lines[0]
+    assert lines[0] == "error: grid must start at t0"
     assert "Traceback" not in proc.stderr
 
 
@@ -229,6 +229,31 @@ def test_vix_outputs(tmp_path):
     assert kinds[0] == "put" and kinds[-1] == "call"
     summary = (out / "vix_summary.csv").read_text().splitlines()
     assert "mean_vix2_scaled" in summary[0] and "continuation_mean" in summary[0]
+
+
+def test_vix_observation_time_measured_from_t0(tmp_path):
+    """The lifted default curve and the factor dynamics depend on t - t0
+    only, so shifting t0 must reproduce every cell up to rounding."""
+    args = ["vix", "--preset", "set1", "--steps", "13", "--paths", "2000", "--seed", "4"]
+    cfg = tmp_path / "t0.cfg"
+    cfg.write_text("t0 = 0.5\n")
+    code_a, out_a = run_cli(args, tmp_path, "base")
+    code_b, out_b = run_cli(args + ["--config", str(cfg)], tmp_path, "shifted")
+    assert code_a == 0 and code_b == 0
+    files_a, files_b = read_all(out_a), read_all(out_b)
+    assert set(files_a) == set(files_b)
+    for name in files_a:
+        rows_a = files_a[name].decode().splitlines()
+        rows_b = files_b[name].decode().splitlines()
+        assert len(rows_a) == len(rows_b) and rows_a[0] == rows_b[0]
+        for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+            for a, b in zip(row_a.split(","), row_b.split(",")):
+                try:
+                    fa, fb = float(a), float(b)
+                except ValueError:
+                    assert a == b, name
+                    continue
+                assert fa == pytest.approx(fb, rel=1e-10, abs=0.0, nan_ok=True), (name, a, b)
 
 
 def test_thread_count_does_not_change_csv(tmp_path):

@@ -237,14 +237,6 @@ def test_snapshot_and_restart_concatenate(set1, curve):
         simulate_clp(set1, curve, [0.5, 1.0], 99, RngStream(8), initial=mid)
 
 
-def test_step_means_recording(set1, curve):
-    out = simulate_clp(set1, curve, np.linspace(0.0, 2.0, 9), 5000, 19, record_step_means=True)
-    assert out.step_mean_x.shape == (9,)
-    assert out.step_mean_x[0] == 0.0
-    assert np.all(np.diff(out.step_mean_x) > 0.0), "integrated variance must grow"
-    assert np.all(out.step_mean_v > 0.0)
-
-
 def test_discounted_price_is_martingale(curve):
     params = ModelParams.from_hurst(5, 0.3, lam=0.25, nu=0.1, v0=0.02, theta=0.5,
                                     rho=0.7, s0=100.0, rate=0.03)

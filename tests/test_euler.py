@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from liftedheston import (
-    EulerConfig,
     InitialCurve,
     ModelParams,
     RngStream,
@@ -38,7 +37,7 @@ def test_negative_variance_counting_by_fix(set2, curve):
     grid = np.linspace(0.0, 1.0, 101)
     counts = {}
     for fix in VarianceFix:
-        out = simulate_euler(set2, curve, grid, 20_000, RngStream(3), EulerConfig(fix=fix))
+        out = simulate_euler(set2, curve, grid, 20_000, RngStream(3), fix=fix)
         d = out.diagnostics
         counts[fix] = d.negative_variance_paths
         if fix is VarianceFix.ABSORPTION:

@@ -5,9 +5,11 @@ import pytest
 
 from liftedheston import (
     PathState,
+    RngStream,
     SimDiagnostics,
     mean_se,
     simulate_clp,
+    simulate_euler,
     variance_se_bootstrap,
 )
 
@@ -66,3 +68,16 @@ def test_summary_keys_and_consistency(set1, curve):
     assert s["mean_x"] == pytest.approx(float(np.mean(out.x)))
     assert s["var_x"] == pytest.approx(float(np.var(out.x, ddof=1)))
     assert s["se_var_x"] > 0.0
+
+
+@pytest.mark.parametrize("simulate", [simulate_clp, simulate_euler])
+def test_restart_from_snapshot_is_bitwise(set1, curve, simulate):
+    """A snapshot passed back as ``initial`` continues the run exactly."""
+    full = simulate(set1, curve, [0.0, 0.25, 0.5, 0.75, 1.0], 1000, RngStream(13))
+    stream = RngStream(13)
+    leg1 = simulate(set1, curve, [0.0, 0.25, 0.5], 1000, stream, snapshot_times=(0.5,))
+    snap = leg1.snapshots[0.5]
+    leg2 = simulate(set1, curve, [0.5, 0.75, 1.0], 1000, stream, initial=snap)
+    for name in ("s", "v", "x", "z"):
+        assert np.array_equal(getattr(leg2, name), getattr(full, name)), name
+    assert np.array_equal(snap.x_cum, leg1.x), "restarting must not touch the snapshot"
