@@ -70,6 +70,8 @@ _STREAM_SWEEP_BASE = 2
 _STREAM_SENSITIVITY = 4
 _STREAM_VIX_BASE = 10
 
+_CSV_CHUNK = 8192  # samples.csv lines formatted per write
+
 _SENS_WINDOW = 0.5
 _SENS_EULER_STEPS = 500
 _DEFAULT_BUMPS = (
@@ -297,13 +299,36 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """Write a header and ``rows``; a row is a sequence of cells or a
+    string of lines already formatted as the cells would be."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            if isinstance(row, str):
+                fh.write(row)
+            else:
+                writer.writerow([_fmt(v) for v in row])
     print(f"wrote {path}")
+
+
+def _sample_lines(out: SimOutput):
+    """``samples.csv`` rows in chunks of ``_CSV_CHUNK`` formatted lines.
+
+    Python floats from ``tolist`` written with ``!r`` give the bytes of
+    ``_fmt`` through ``csv.writer`` (no cell needs quoting) at a fraction
+    of the cost; the chunks stream, so the whole file is never held.
+    """
+    n = out.s.shape[0]
+    for lo in range(0, n, _CSV_CHUNK):
+        hi = min(lo + _CSV_CHUNK, n)
+        yield "".join(
+            f"{i},{s!r},{v!r},{x!r}\n"
+            for i, s, v, x in zip(
+                range(lo, hi), out.s[lo:hi].tolist(), out.v[lo:hi].tolist(), out.x[lo:hi].tolist()
+            )
+        )
 
 
 def _run_scheme(cfg: ExperimentConfig, grid, stream: RngStream, snapshot_times=()) -> SimOutput:
@@ -378,11 +403,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> None:
         grid = np.linspace(params.t0, t_end, cfg.n_steps + 1)
     out = _run_scheme(cfg, grid, RngStream(cfg.seed, stream_id=_STREAM_MAIN))
     out_dir = Path(cfg.out_dir)
-    rows = (
-        (i, out.s[i], out.v[i], out.x[i])
-        for i in range(cfg.n_paths)
-    )
-    _write_csv(out_dir / "samples.csv", ("path_id", "s_t", "v_t", "x_t"), rows)
+    _write_csv(out_dir / "samples.csv", ("path_id", "s_t", "v_t", "x_t"), _sample_lines(out))
     dt = float(grid[1] - grid[0])
     _write_csv(out_dir / "summary.csv", _SUMMARY_HEADER, [_summary_row(out, cfg, dt)])
 

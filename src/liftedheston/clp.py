@@ -21,6 +21,19 @@ moment generating function cancels the drift correction in closed
 form).  Variance nonnegativity is enforced pathwise by step 2 rather
 than by truncation, which is what keeps large steps honest.
 
+``clp_step`` draws first and blocks second.  It takes the step's
+numbers for all paths in the fixed order -- the normals behind the
+inverse Gaussian, then the uniforms, then the price normals -- so the
+stream advances exactly as in one vectorized pass.  It then walks the
+paths in blocks of ``state._BLOCK`` rows, reusing a few (block, N)
+buffers through ``out=`` ufuncs and ``np.matmul(..., out=)`` instead of
+allocating a fresh (paths, N) array per operation.  Each element goes
+through the same operations in the same order as in
+``step_coefficients`` and ``constrain_beta``, whose code the kernel
+shares, and BLAS gives each row the same bits in a block as in the
+whole batch (``state._path_blocks`` says why the block edges matter),
+so the output is bitwise that of the unblocked step.
+
 ``simulate_clp`` runs this step over a grid through the driver in
 ``state.py`` that the Euler baseline shares.
 """
@@ -33,8 +46,8 @@ import numpy as np
 
 from .numerics import StepPrecompute, precompute_step
 from .params import InitialCurve, ModelParams
-from .sampling import RngStream, sample_inverse_gaussian
-from .state import PathState, SimDiagnostics, SimOutput, _simulate
+from .sampling import RngStream, _inverse_gaussian
+from .state import PathState, SimDiagnostics, SimOutput, _path_blocks, _simulate
 
 __all__ = [
     "ProjectionCoeffs",
@@ -87,16 +100,29 @@ def step_coefficients(
     limit ratio_n = 1/omega_bar, which preserves the identity
     sum_n omega_n ratio_n = 1.
     """
+    return _project(state.u, pre, params, np.empty(state.u.shape), np.empty(state.u.shape))
+
+
+def _project(u, pre, params, alpha_factors, ratio) -> ProjectionCoeffs:
+    """:func:`step_coefficients` for factor rows ``u``.
+
+    The per-factor means and the factor split are written into the
+    (rows, N) buffers ``alpha_factors`` and ``ratio``, which the result
+    holds.
+    """
     omega = params.omega
-    alpha_factors = state.u @ pre.phi1.T + pre.xi
+    np.matmul(u, pre.phi1.T, out=alpha_factors)
+    alpha_factors += pre.xi
     alpha = alpha_factors @ omega + pre.g0_int
     degenerate = alpha <= 0.0
-    kappa = state.u @ pre.chi.T + pre.psi
+    kappa = np.matmul(u, pre.chi.T, out=ratio)
+    kappa += pre.psi
     xz_mean = kappa @ omega
     beta = xz_mean / np.where(degenerate, 1.0, alpha)
     ok = xz_mean > 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(ok[:, None], kappa / xz_mean[:, None], 1.0 / params.omega_bar)
+        np.divide(kappa, xz_mean[:, None], out=ratio)
+    ratio[~ok] = 1.0 / params.omega_bar
     return ProjectionCoeffs(
         alpha=alpha,
         alpha_factors=alpha_factors,
@@ -123,6 +149,16 @@ def constrain_beta(
     slope beta^C = nu alpha omega_bar / c, which satisfies both
     conditions with the X_hat = 0 value exactly zero.
     """
+    return _constrain(coeffs, state.u, pre, params, np.empty(coeffs.ratio.shape))
+
+
+def _constrain(coeffs, u, pre, params, work, first_path=0) -> ProjectionCoeffs:
+    """:func:`constrain_beta` for factor rows ``u``.
+
+    ``work`` is a (rows, N) buffer.  The rows are paths
+    ``first_path``, ``first_path + 1``, ... of the batch, which is how
+    the error names a path.
+    """
     omega, x = params.omega, params.x
     omega_bar = params.omega_bar
     nu = params.nu
@@ -130,13 +166,14 @@ def constrain_beta(
     denom = coeffs.ratio @ wx + params.lam * omega_bar
     with np.errstate(divide="ignore"):
         beta_limit = np.where(denom > 0.0, nu * omega_bar / np.where(denom > 0.0, denom, 1.0), np.inf)
-    xhat_at_zero = coeffs.alpha_factors - coeffs.ratio * coeffs.alpha[:, None]
-    c = state.u @ omega - xhat_at_zero @ wx + pre.g0_next
+    xhat_at_zero = np.multiply(coeffs.ratio, coeffs.alpha[:, None], out=work)
+    np.subtract(coeffs.alpha_factors, xhat_at_zero, out=xhat_at_zero)
+    c = u @ omega - xhat_at_zero @ wx + pre.g0_next
     bad_c = (c <= 0.0) & ~coeffs.degenerate
     if np.any(bad_c):
         bad = int(np.argmax(bad_c))
         raise FloatingPointError(
-            f"constraint constant nonpositive (path {bad}, c={c[bad]:.3e}); "
+            f"constraint constant nonpositive (path {first_path + bad}, c={c[bad]:.3e}); "
             f"no admissible slope exists"
         )
     # degenerate paths never sample, so give them a harmless positive slope
@@ -182,80 +219,98 @@ def clp_step(
     exactly), and the smallest driver value that keeps the variance
     nonnegative, Z_hat = max(-c, 0) / (nu omega_bar), which is 0
     whenever the constraint constant c is positive.
+
+    The draws of all paths are taken first; the paths are then advanced
+    block by block (see the module docstring).  ``state`` is not
+    modified.
     """
-    coeffs = constrain_beta(step_coefficients(state, pre, params), state, pre, params)
-    alpha, beta_c, ratio = coeffs.alpha, coeffs.beta_c, coeffs.ratio
-    degen = coeffs.degenerate
     n = state.n_paths
-    alpha_pos = np.where(degen, 1.0, alpha)
-    gamma = np.square(alpha_pos / beta_c)
-    x_hat = sample_inverse_gaussian(stream, alpha_pos, gamma, size=n)
-    x_hat = np.where(degen, 0.0, x_hat)
-    z_hat = np.where(degen, 0.0, (x_hat - alpha_pos) / beta_c)
-    z_state = np.where(
-        degen, np.maximum(-coeffs.c, 0.0) / (params.nu * params.omega_bar), z_hat
-    )
-    incr = x_hat - alpha
-    x_hat_factors = coeffs.alpha_factors + ratio * incr[:, None]
-    u_new = (
-        state.u
-        - x_hat_factors * params.x[None, :]
-        - (params.lam * x_hat)[:, None]
-        + (params.nu * z_state)[:, None]
-    )
-    v_raw = u_new @ params.omega + pre.g0_next
-    negative = v_raw < 0.0
+    normal = stream.normal(n)
+    pick = stream.uniform(n)
+    z_price = stream.normal(n)
+    blocks = _path_blocks(n)
+    rows = blocks[-1][1] - blocks[-1][0]
+    alpha_factors, ratio, work = (np.empty((rows, params.n_states)) for _ in range(3))
+    u_new = np.empty_like(state.u)
+    v_new = np.empty(n)
+    log_s_new = np.empty(n)
+    x_cum = np.empty(n)
+    z_cum = np.empty(n)
+    rho = params.rho
+    constrained = degenerate = 0
+    min_beta = min_at_zero = np.inf
+    max_over = -np.inf
+    for lo, hi in blocks:
+        m = hi - lo
+        u = state.u[lo:hi]
+        coeffs = _constrain(
+            _project(u, pre, params, alpha_factors[:m], ratio[:m]), u, pre, params, work[:m], lo
+        )
+        alpha, beta_c, degen = coeffs.alpha, coeffs.beta_c, coeffs.degenerate
+        alpha_pos = np.where(degen, 1.0, alpha)
+        gamma = np.square(alpha_pos / beta_c)
+        x_hat = _inverse_gaussian(alpha_pos, gamma, normal[lo:hi], pick[lo:hi])
+        x_hat = np.where(degen, 0.0, x_hat)
+        z_hat = np.where(degen, 0.0, (x_hat - alpha_pos) / beta_c)
+        z_state = np.where(
+            degen, np.maximum(-coeffs.c, 0.0) / (params.nu * params.omega_bar), z_hat
+        )
+        incr = x_hat - alpha
+        # u - (alpha_factors + ratio * incr) * x - lam x_hat + nu z_state
+        x_hat_factors = np.multiply(coeffs.ratio, incr[:, None], out=work[:m])
+        x_hat_factors += coeffs.alpha_factors
+        x_hat_factors *= params.x
+        u_blk = np.subtract(u, x_hat_factors, out=u_new[lo:hi])
+        u_blk -= (params.lam * x_hat)[:, None]
+        u_blk += (params.nu * z_state)[:, None]
+        np.matmul(u_blk, params.omega, out=v_new[lo:hi])
+        log_s_new[lo:hi] = (
+            state.log_s[lo:hi]
+            + params.rate * pre.dt
+            - 0.5 * x_hat
+            + rho * z_hat
+            + np.sqrt((1.0 - rho * rho) * x_hat) * z_price[lo:hi]
+        )
+        np.add(state.x_cum[lo:hi], x_hat, out=x_cum[lo:hi])
+        np.add(state.z_cum[lo:hi], z_state, out=z_cum[lo:hi])
+        if diagnostics is not None:
+            live = ~degen
+            constrained += int(np.count_nonzero(coeffs.constrained))
+            degenerate += int(np.count_nonzero(degen))
+            min_beta = min(min_beta, float(np.min(beta_c, initial=np.inf, where=live)))
+            with np.errstate(invalid="ignore"):
+                over = np.max(
+                    beta_c / coeffs.beta_limit - 1.0,
+                    initial=-np.inf,
+                    where=np.isfinite(coeffs.beta_limit) & live,
+                )
+            max_over = max(max_over, float(over))
+            value_at_zero = coeffs.c - params.nu * alpha_pos * params.omega_bar / beta_c
+            min_at_zero = min(
+                min_at_zero, float(np.min(value_at_zero, initial=np.inf, where=live))
+            )
+    v_new += pre.g0_next
+    negative = v_new < 0.0
     n_clamped = 0
     if np.any(negative):
-        worst = float(np.min(v_raw))
+        worst = float(np.min(v_new))
         if worst < -_V_ROUNDOFF:
             raise FloatingPointError(
                 f"variance {worst:.3e} below the roundoff floor -{_V_ROUNDOFF:.0e}; "
                 f"constraint violated"
             )
         n_clamped = int(np.count_nonzero(negative))
-        v_new = np.where(negative, 0.0, v_raw)
-    else:
-        v_new = v_raw
-    z_price = stream.normal(n)
-    rho = params.rho
-    log_s_new = (
-        state.log_s
-        + params.rate * pre.dt
-        - 0.5 * x_hat
-        + rho * z_hat
-        + np.sqrt((1.0 - rho * rho) * x_hat) * z_price
-    )
+        v_new[negative] = 0.0
     if diagnostics is not None:
-        live = ~degen
         diagnostics.total_draws += n
-        diagnostics.constrained_draws += int(np.count_nonzero(coeffs.constrained))
-        diagnostics.degenerate_mean_draws += int(np.count_nonzero(degen))
+        diagnostics.constrained_draws += constrained
+        diagnostics.degenerate_mean_draws += degenerate
         diagnostics.min_variance = min(diagnostics.min_variance, float(np.min(v_new)))
-        diagnostics.min_beta = min(
-            diagnostics.min_beta, float(np.min(beta_c, initial=np.inf, where=live))
-        )
-        with np.errstate(invalid="ignore"):
-            over = np.max(
-                beta_c / coeffs.beta_limit - 1.0,
-                initial=-np.inf,
-                where=np.isfinite(coeffs.beta_limit) & live,
-            )
-        diagnostics.max_beta_over_limit = max(diagnostics.max_beta_over_limit, float(over))
-        value_at_zero = coeffs.c - params.nu * alpha_pos * params.omega_bar / beta_c
-        diagnostics.min_constraint_at_zero = min(
-            diagnostics.min_constraint_at_zero,
-            float(np.min(value_at_zero, initial=np.inf, where=live)),
-        )
+        diagnostics.min_beta = min(diagnostics.min_beta, min_beta)
+        diagnostics.max_beta_over_limit = max(diagnostics.max_beta_over_limit, max_over)
+        diagnostics.min_constraint_at_zero = min(diagnostics.min_constraint_at_zero, min_at_zero)
         diagnostics.clamped_variance_values += n_clamped
-    return PathState(
-        t=pre.t_end,
-        log_s=log_s_new,
-        u=u_new,
-        v=v_new,
-        x_cum=state.x_cum + x_hat,
-        z_cum=state.z_cum + z_state,
-    )
+    return PathState(t=pre.t_end, log_s=log_s_new, u=u_new, v=v_new, x_cum=x_cum, z_cum=z_cum)
 
 
 def simulate_clp(

@@ -11,6 +11,12 @@ variance.  Integrated variance is accumulated by the trapezoid rule on
 the fixed values, and the driver integral Z by sqrt(V+) dW2, for use as
 a convergence benchmark against the projection scheme.
 
+``euler_step`` draws z_perp and then z2 for all paths, as
+``correlated_pair`` does, and then updates the factors in blocks of
+``state._BLOCK`` rows into one reused (block, N) buffer, with the same
+operations in the same order per element as the whole-batch
+expression; the output bits do not depend on the blocking.
+
 ``simulate_euler`` runs the step over a grid through the driver in
 ``state.py`` that the projection scheme shares.
 """
@@ -23,7 +29,7 @@ import numpy as np
 
 from .params import InitialCurve, ModelParams, g0
 from .sampling import RngStream, correlated_pair
-from .state import PathState, SimDiagnostics, SimOutput, _simulate
+from .state import PathState, SimDiagnostics, SimOutput, _path_blocks, _simulate
 
 __all__ = ["VarianceFix", "euler_step", "simulate_euler"]
 
@@ -66,13 +72,24 @@ def euler_step(
     sq_dw = np.sqrt(v_fix * dt)
     dw1 = sq_dw * z1
     dw2 = sq_dw * z2
-    u_new = (
-        state.u
-        + (-state.u * params.x[None, :] - (params.lam * v_fix)[:, None]) * dt
-        + (params.nu * dw2)[:, None]
-    )
+    lam_v = params.lam * v_fix
+    nu_dw2 = params.nu * dw2
+    blocks = _path_blocks(n)
+    drift = np.empty((blocks[-1][1] - blocks[-1][0], params.n_states))
+    u_new = np.empty_like(state.u)
+    v_new = np.empty(n)
+    for lo, hi in blocks:
+        # u + (-u x - lam v+) dt + nu dW2
+        u = state.u[lo:hi]
+        d = np.negative(u, out=drift[: hi - lo])
+        d *= params.x
+        d -= lam_v[lo:hi, None]
+        d *= dt
+        u_blk = np.add(u, d, out=u_new[lo:hi])
+        u_blk += nu_dw2[lo:hi, None]
+        np.matmul(u_blk, params.omega, out=v_new[lo:hi])
     g0_next = float(g0(t_next, params, curve))
-    v_new = u_new @ params.omega + g0_next
+    v_new += g0_next
     if fix is VarianceFix.ABSORPTION:
         below = v_new < 0.0
         if np.any(below):

@@ -56,19 +56,30 @@ def sample_inverse_gaussian(stream: RngStream, mu, gamma, size=None):
     picks x_minus with probability mu / (mu + x_minus), else mu^2 / x_minus.
 
     ``mu`` and ``gamma`` must be positive; both broadcast against ``size``
-    so each draw can carry its own parameters.
+    so each draw can carry its own parameters.  The draws come first, the
+    normal then the uniform, and ``_inverse_gaussian`` maps them.
+    """
+    y = stream.normal(size)
+    pick = stream.uniform(size)
+    out = _inverse_gaussian(mu, gamma, y, pick)
+    return float(out) if out.ndim == 0 else out
+
+
+def _inverse_gaussian(mu, gamma, normal, uniform):
+    """IG(mu, gamma) values from standard normals and uniforms already drawn.
+
+    The transform of :func:`sample_inverse_gaussian`; the projection
+    step calls it per block of paths on its own draws.
     """
     mu = np.asarray(mu, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     if np.any(mu <= 0.0) or np.any(gamma <= 0.0):
         raise ValueError("mu and gamma must be > 0")
-    y = np.square(stream.normal(size))
+    y = np.square(normal)
     w = mu * y / gamma
     x_minus = mu / (1.0 + 0.5 * w + np.sqrt(w + 0.25 * np.square(w)))
-    pick = stream.uniform(size)
-    take_minus = pick <= mu / (mu + x_minus)
-    out = np.where(take_minus, x_minus, np.square(mu) / x_minus)
-    return float(out) if out.ndim == 0 else out
+    take_minus = uniform <= mu / (mu + x_minus)
+    return np.where(take_minus, x_minus, np.square(mu) / x_minus)
 
 
 def correlated_pair(stream: RngStream, rho: float, size=None):

@@ -6,6 +6,10 @@ the factor dimension last.  A single path is just a batch of one.  They
 differ only in how one step advances it, so one driver walks the grid
 for both: it validates the inputs, restarts from a given state, copies
 the state at snapshot times and assembles the output.
+
+The step kernels walk the paths in blocks of ``_BLOCK`` rows so that
+their (rows, N) work arrays stay in cache; ``_path_blocks`` cuts the
+batch the same way for both schemes.
 """
 
 from __future__ import annotations
@@ -24,6 +28,22 @@ __all__ = [
     "mean_se",
     "variance_se_bootstrap",
 ]
+
+# Paths per block in the step kernels.  A multiple of 4, so every row
+# meets the same BLAS micro-kernel as in one call over the whole batch.
+_BLOCK = 4096
+
+
+def _path_blocks(n: int):
+    """Row ranges ``(lo, hi)`` covering ``n`` paths in order.
+
+    Blocks hold ``_BLOCK`` rows except the last, which takes the
+    remainder as well, so no block is shorter than ``min(n, _BLOCK)``.
+    A short block would change the bits: a one-row product goes through
+    numpy's matrix-vector path instead of the matrix product.
+    """
+    starts = list(range(0, max(n - _BLOCK, 0) + 1, _BLOCK))
+    return list(zip(starts, starts[1:] + [n]))
 
 
 @dataclass

@@ -1,0 +1,269 @@
+"""Blocked step kernels against unblocked whole-batch reference steps.
+
+``clp_step`` and ``euler_step`` walk the paths in blocks of
+``state._BLOCK`` rows.  The references below advance the whole batch in
+one vectorized pass, from the public ``step_coefficients``,
+``constrain_beta``, ``sample_inverse_gaussian`` and ``correlated_pair``;
+they are the oracle, and the kernels must match them bit for bit.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from liftedheston import (
+    PathState,
+    RngStream,
+    SimDiagnostics,
+    VarianceFix,
+    clp_step,
+    constrain_beta,
+    correlated_pair,
+    euler_step,
+    g0,
+    precompute_step,
+    sample_inverse_gaussian,
+    simulate_clp,
+    step_coefficients,
+)
+from liftedheston import clp
+from liftedheston.state import _BLOCK
+from test_clp import degenerate_state
+
+SIZES = (1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 37)
+FIELDS = ("log_s", "u", "v", "x_cum", "z_cum")
+
+
+def reference_clp_step(state, pre, params, stream, diagnostics=None):
+    coeffs = constrain_beta(step_coefficients(state, pre, params), state, pre, params)
+    alpha, beta_c, ratio = coeffs.alpha, coeffs.beta_c, coeffs.ratio
+    degen = coeffs.degenerate
+    n = state.n_paths
+    alpha_pos = np.where(degen, 1.0, alpha)
+    gamma = np.square(alpha_pos / beta_c)
+    x_hat = sample_inverse_gaussian(stream, alpha_pos, gamma, size=n)
+    x_hat = np.where(degen, 0.0, x_hat)
+    z_hat = np.where(degen, 0.0, (x_hat - alpha_pos) / beta_c)
+    z_state = np.where(degen, np.maximum(-coeffs.c, 0.0) / (params.nu * params.omega_bar), z_hat)
+    incr = x_hat - alpha
+    x_hat_factors = coeffs.alpha_factors + ratio * incr[:, None]
+    u_new = (
+        state.u
+        - x_hat_factors * params.x[None, :]
+        - (params.lam * x_hat)[:, None]
+        + (params.nu * z_state)[:, None]
+    )
+    v_raw = u_new @ params.omega + pre.g0_next
+    negative = v_raw < 0.0
+    n_clamped = 0
+    if np.any(negative):
+        worst = float(np.min(v_raw))
+        if worst < -clp._V_ROUNDOFF:
+            raise FloatingPointError(
+                f"variance {worst:.3e} below the roundoff floor -{clp._V_ROUNDOFF:.0e}; "
+                f"constraint violated"
+            )
+        n_clamped = int(np.count_nonzero(negative))
+        v_new = np.where(negative, 0.0, v_raw)
+    else:
+        v_new = v_raw
+    z_price = stream.normal(n)
+    rho = params.rho
+    log_s_new = (
+        state.log_s
+        + params.rate * pre.dt
+        - 0.5 * x_hat
+        + rho * z_hat
+        + np.sqrt((1.0 - rho * rho) * x_hat) * z_price
+    )
+    if diagnostics is not None:
+        live = ~degen
+        diagnostics.total_draws += n
+        diagnostics.constrained_draws += int(np.count_nonzero(coeffs.constrained))
+        diagnostics.degenerate_mean_draws += int(np.count_nonzero(degen))
+        diagnostics.min_variance = min(diagnostics.min_variance, float(np.min(v_new)))
+        diagnostics.min_beta = min(
+            diagnostics.min_beta, float(np.min(beta_c, initial=np.inf, where=live))
+        )
+        with np.errstate(invalid="ignore"):
+            over = np.max(
+                beta_c / coeffs.beta_limit - 1.0,
+                initial=-np.inf,
+                where=np.isfinite(coeffs.beta_limit) & live,
+            )
+        diagnostics.max_beta_over_limit = max(diagnostics.max_beta_over_limit, float(over))
+        value_at_zero = coeffs.c - params.nu * alpha_pos * params.omega_bar / beta_c
+        diagnostics.min_constraint_at_zero = min(
+            diagnostics.min_constraint_at_zero,
+            float(np.min(value_at_zero, initial=np.inf, where=live)),
+        )
+        diagnostics.clamped_variance_values += n_clamped
+    return PathState(t=pre.t_end, log_s=log_s_new, u=u_new, v=v_new,
+                     x_cum=state.x_cum + x_hat, z_cum=state.z_cum + z_state)
+
+
+def reference_euler_step(state, t_next, params, curve, stream, diagnostics=None,
+                         fix=VarianceFix.FULL_TRUNCATION):
+    def fixed(v):
+        return np.abs(v) if fix is VarianceFix.REFLECTION else np.maximum(v, 0.0)
+
+    dt = t_next - state.t
+    n = state.n_paths
+    v_fix = fixed(state.v)
+    z1, z2 = correlated_pair(stream, params.rho, size=n)
+    sq_dw = np.sqrt(v_fix * dt)
+    dw1 = sq_dw * z1
+    dw2 = sq_dw * z2
+    u_new = (
+        state.u
+        + (-state.u * params.x[None, :] - (params.lam * v_fix)[:, None]) * dt
+        + (params.nu * dw2)[:, None]
+    )
+    g0_next = float(g0(t_next, params, curve))
+    v_new = u_new @ params.omega + g0_next
+    if fix is VarianceFix.ABSORPTION:
+        below = v_new < 0.0
+        if np.any(below):
+            scale = -g0_next / (v_new[below] - g0_next)
+            u_new[below] *= scale[:, None]
+            v_new[below] = 0.0
+    log_s_new = state.log_s + (params.rate - 0.5 * v_fix) * dt + dw1
+    x_new = state.x_cum + 0.5 * dt * (v_fix + fixed(v_new))
+    z_new = state.z_cum + dw2
+    if diagnostics is not None:
+        diagnostics.total_draws += n
+        diagnostics.min_variance = min(diagnostics.min_variance, float(np.min(v_new)))
+    return PathState(t=t_next, log_s=log_s_new, u=u_new, v=v_new, x_cum=x_new, z_cum=z_new)
+
+
+def assert_same_step(got, want, diag_got, diag_want):
+    assert got.t == want.t
+    for name in FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert dataclasses.asdict(diag_got) == dataclasses.asdict(diag_want)
+
+
+def interior_state(params, curve, n, seed):
+    out = simulate_clp(params, curve, [0.0, 0.5, 1.0], n, RngStream(seed), snapshot_times=(1.0,))
+    return out.snapshots[1.0]
+
+
+def state_from_rows(u, t, v):
+    n = u.shape[0]
+    return PathState(t=t, log_s=np.linspace(4.0, 5.0, n), u=u, v=v,
+                     x_cum=np.linspace(0.0, 1.0, n), z_cum=np.linspace(-1.0, 1.0, n))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("which", ["set1", "set3"])
+def test_clp_step_matches_unblocked_reference(request, curve, which, n):
+    params = request.getfixturevalue(which)
+    state = interior_state(params, curve, n, seed=n)
+    for t_next in (1.0 + 1.0 / 78, 1.5):
+        pre = precompute_step(params, curve, 1.0, t_next)
+        diag, diag_ref = SimDiagnostics(), SimDiagnostics()
+        got = clp_step(state, pre, params, RngStream(9, stream_id=n), diag)
+        want = reference_clp_step(state, pre, params, RngStream(9, stream_id=n), diag_ref)
+        assert_same_step(got, want, diag, diag_ref)
+
+
+def test_clp_step_degenerate_paths_in_last_block(set3, curve):
+    pre = precompute_step(set3, curve, 0.0, 2.15)
+    u_bad, _, _ = degenerate_state(set3, pre)
+    n = 2 * _BLOCK + 37
+    u = np.zeros((n, set3.n_states))
+    rows = n - np.array([1, 5, 30])
+    u[rows] = u_bad
+    state = state_from_rows(u, 0.0, u @ set3.omega + set3.v0)
+    diag, diag_ref = SimDiagnostics(), SimDiagnostics()
+    got = clp_step(state, pre, set3, RngStream(12), diag)
+    want = reference_clp_step(state, pre, set3, RngStream(12), diag_ref)
+    assert_same_step(got, want, diag, diag_ref)
+    assert diag.degenerate_mean_draws == rows.size
+    assert np.all(got.x_cum[rows] == state.x_cum[rows])
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("fix", list(VarianceFix))
+def test_euler_step_matches_unblocked_reference(set2, curve, fix, n):
+    # spread states around the curve so that a good share of the paths
+    # step below zero variance and ABSORPTION rescales rows in every block
+    u = np.random.default_rng(n).normal(scale=0.05, size=(n, set2.n_states))
+    state = state_from_rows(u, 0.5, u @ set2.omega + float(g0(0.5, set2, curve)))
+    diag, diag_ref = SimDiagnostics(), SimDiagnostics()
+    got = euler_step(state, 0.6, set2, curve, RngStream(4, stream_id=n), diag, fix)
+    want = reference_euler_step(state, 0.6, set2, curve, RngStream(4, stream_id=n), diag_ref, fix)
+    assert_same_step(got, want, diag, diag_ref)
+    if fix is VarianceFix.ABSORPTION and n >= 2 * _BLOCK:
+        absorbed = np.flatnonzero(got.v == 0.0)
+        assert absorbed.min() < _BLOCK <= absorbed.max()
+
+
+def bad_constant_row(params, pre):
+    """A factor row with a positive projected mean whose constraint
+    constant c is nonpositive, found by a seeded search."""
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        u = rng.normal(size=(1, params.n_states)) * 10.0 ** rng.uniform(-2, 1.5, size=params.n_states)
+        st = state_from_rows(u, pre.t_start, u @ params.omega + params.v0)
+        co = step_coefficients(st, pre, params)
+        if co.degenerate[0]:
+            continue
+        try:
+            constrain_beta(co, st, pre, params)
+        except FloatingPointError:
+            return u[0]
+    raise AssertionError("no row with a nonpositive constraint constant found")
+
+
+def test_constraint_error_names_first_bad_path_globally(set3, curve):
+    pre = precompute_step(set3, curve, 0.0, 2.15)
+    n = 2 * _BLOCK + 37
+    u = np.zeros((n, set3.n_states))
+    u[[_BLOCK + 17, 2 * _BLOCK + 3]] = bad_constant_row(set3, pre)
+    state = state_from_rows(u, 0.0, u @ set3.omega + set3.v0)
+    with pytest.raises(FloatingPointError, match=rf"\(path {_BLOCK + 17}, c="):
+        clp_step(state, pre, set3, RngStream(3))
+    with pytest.raises(FloatingPointError, match=rf"\(path {_BLOCK + 17}, c="):
+        constrain_beta(step_coefficients(state, pre, set3), state, pre, set3)
+
+
+def test_roundoff_error_reports_global_minimum(set1, curve, monkeypatch):
+    """Slopes pushed past the boundary make the variance negative in
+    every block; the error must quote the minimum over all paths."""
+    real = clp._constrain
+
+    def too_steep(coeffs, u, pre, params, work, first_path=0):
+        out = real(coeffs, u, pre, params, work, first_path)
+        rows = first_path + np.arange(u.shape[0])
+        out.beta_c = out.beta_c * np.where(rows < _BLOCK, 5.0, 100.0)
+        return out
+
+    state = interior_state(set1, curve, 2 * _BLOCK + 37, seed=5)
+    pre = precompute_step(set1, curve, 1.0, 1.5)
+    monkeypatch.setattr(clp, "_constrain", too_steep)
+    with pytest.raises(FloatingPointError) as want:
+        reference_clp_step(state, pre, set1, RngStream(6))
+    with pytest.raises(FloatingPointError) as got:
+        clp_step(state, pre, set1, RngStream(6))
+    assert str(got.value) == str(want.value)
+    # with the floor lifted, paths clamp in the first block and after it
+    monkeypatch.setattr(clp, "_V_ROUNDOFF", np.inf)
+    clamped = np.flatnonzero(clp_step(state, pre, set1, RngStream(6)).v == 0.0)
+    assert clamped.min() < _BLOCK <= clamped.max()
+
+
+def test_steps_leave_the_input_state_untouched(set1, set2, curve):
+    n = 2 * _BLOCK + 37
+    state = interior_state(set1, curve, n, seed=8)
+    before = state.copy()
+    clp_step(state, precompute_step(set1, curve, 1.0, 1.5), set1, RngStream(2), SimDiagnostics())
+    u = np.random.default_rng(1).normal(scale=0.05, size=(n, set2.n_states))
+    e_state = state_from_rows(u, 0.5, u @ set2.omega + float(g0(0.5, set2, curve)))
+    e_before = e_state.copy()
+    euler_step(e_state, 0.6, set2, curve, RngStream(2), SimDiagnostics(), VarianceFix.ABSORPTION)
+    for got, want in ((state, before), (e_state, e_before)):
+        assert got.t == want.t
+        for name in FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
