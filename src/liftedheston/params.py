@@ -20,6 +20,7 @@ as independent references by the simulation schemes.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -186,9 +187,9 @@ class ModelParams:
         omega, x = hurst_parametrization(n_states, hurst)
         return cls(n_states, lam, nu, v0, theta, rho, omega, x, s0=s0, rate=rate, t0=t0)
 
-    @property
+    @functools.cached_property
     def omega_bar(self) -> float:
-        """Sum of the factor weights."""
+        """Sum of the factor weights, computed on first access and kept."""
         return float(np.sum(self.omega))
 
 

@@ -1,13 +1,16 @@
 """Experiment harness: config parsing, grids, commands, CSV determinism."""
 
+import ast
 import filecmp
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liftedheston
 from liftedheston.cli import (
     PRESETS,
     ConfigError,
@@ -269,3 +272,42 @@ def test_thread_count_does_not_change_csv(tmp_path):
     with threadpool_limits(limits=1):
         _, out_b = run_cli(args, tmp_path, "t2")
     assert read_all(out_a) == read_all(out_b)
+
+
+# scipy subpackages the package does not use; scipy.stats alone used to be
+# more than half of every command's start-up time
+_UNUSED_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.interpolate")
+
+
+def test_import_graph_leaves_out_unused_scipy():
+    pkg = Path(liftedheston.__file__).resolve().parent
+    code = (
+        "import sys\n"
+        "import liftedheston.cli\n"
+        "import liftedheston\n"
+        "print(liftedheston.__file__)\n"
+        f"unused = {_UNUSED_SCIPY!r}\n"
+        "print(','.join(sorted(m for m in sys.modules\n"
+        "                     if any(m == u or m.startswith(u + '.') for u in unused))))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(pkg.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    module_file, loaded = proc.stdout.splitlines()
+    assert Path(module_file).resolve().parent == pkg
+    assert loaded == "", f"importing the CLI loads {loaded}"
+
+
+def test_package_imports_only_at_module_level():
+    """An import inside a function would move its cost into the first
+    simulation call rather than remove it."""
+    pkg = Path(liftedheston.__file__).resolve().parent
+    nested = []
+    for path in sorted(pkg.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested

@@ -1,7 +1,11 @@
 """VIX extraction, Black-76 pricing and implied vol inversion."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from liftedheston import (
     InitialCurve,
@@ -12,6 +16,7 @@ from liftedheston import (
     heston_vix_squared,
     implied_vol_black,
     price_european,
+    pricing,
     vix_from_state,
 )
 
@@ -88,8 +93,6 @@ def test_heston_vix_squared_limits():
 
 def test_black76_reference_value_and_parity():
     # F = K = 100, vol 0.2, T = 1: call = F * (2 N(0.1) - 1)
-    from scipy.stats import norm
-
     ref = 100.0 * (2.0 * norm.cdf(0.1) - 1.0)
     assert black76_price(100.0, 100.0, 1.0, 0.0, 0.2, "call") == pytest.approx(ref, abs=1e-10)
     rng = np.random.default_rng(8)
@@ -146,3 +149,77 @@ def test_price_european_payoffs():
         price_european(samples, 110.0, 2.0, 0.05, "digital")
     with pytest.raises(ValueError):
         price_european(np.array([]), 110.0, 2.0, 0.05)
+
+
+def _ref_d1(forward, strike, t, vol):
+    sd = vol * math.sqrt(t)
+    return (math.log(forward / strike) + 0.5 * sd * sd) / sd, sd
+
+
+def _ref_black76(forward, strike, t, rate, vol, kind="call"):
+    """Black-76 on ``scipy.stats.norm``, with the package's operation order."""
+    disc = math.exp(-rate * t)
+    d1, sd = _ref_d1(forward, strike, t, vol)
+    d2 = d1 - sd
+    if kind == "call":
+        return disc * (forward * norm.cdf(d1) - strike * norm.cdf(d2))
+    return disc * (strike * norm.cdf(-d2) - forward * norm.cdf(-d1))
+
+
+def _ref_vega(forward, strike, t, rate, vol):
+    d1, _ = _ref_d1(forward, strike, t, vol)
+    return math.exp(-rate * t) * forward * norm.pdf(d1) * math.sqrt(t)
+
+
+def _black_grid():
+    """Forwards, strikes, maturities, rates and vols, plus a sweep of d1
+    over [36, 40], where the normal density turns subnormal (|d1| > 37.6)."""
+    grid = [
+        (f, f * m, t, r, vol)
+        for f, m, t, r, vol in itertools.product(
+            (0.05, 1.0, 100.0),
+            np.linspace(0.5, 2.0, 21).tolist(),
+            (1.0 / 12.0, 1.0, 5.0),
+            (0.0, 0.03),
+            np.geomspace(0.005, 2.0, 15).tolist(),
+        )
+    ]
+    sd = 0.01
+    for d1 in np.linspace(36.0, 40.0, 401).tolist():
+        log_fk = d1 * sd - 0.5 * sd * sd
+        grid.append((100.0, 100.0 * math.exp(-log_fk), 1.0, 0.01, sd))
+        grid.append((100.0, 100.0 * math.exp(log_fk), 1.0, 0.01, sd))
+    return grid
+
+
+def test_black_formulas_bitwise_equal_scipy_stats_reference():
+    """black76_price and _black_vega compute without scipy.stats but must
+    give exactly the bits (and the np.float64 type) of the norm-based
+    formulas, including where the density is subnormal."""
+    grid = _black_grid()
+    subnormal = 0
+    for f, k, t, r, vol in grid:
+        for kind in ("call", "put"):
+            got = black76_price(f, k, t, r, vol, kind)
+            ref = _ref_black76(f, k, t, r, vol, kind)
+            assert got == ref and type(got) is type(ref), (f, k, t, r, vol, kind, got, ref)
+        got = pricing._black_vega(f, k, t, r, vol)
+        ref = _ref_vega(f, k, t, r, vol)
+        assert got == ref and type(got) is type(ref), (f, k, t, r, vol, got, ref)
+        d1, _ = _ref_d1(f, k, t, vol)
+        subnormal += 0.0 < norm.pdf(d1) < np.finfo(float).tiny
+    assert subnormal >= 100
+
+
+def test_implied_vol_bitwise_equal_scipy_stats_reference(monkeypatch):
+    """The solve reads black76_price and _black_vega at call time, so
+    patching in the norm-based references gives the reference vol."""
+    cases = _black_grid()[::17]
+    quotes = [(_ref_black76(f, k, t, r, vol, kind), f, k, t, r, kind)
+              for (f, k, t, r, vol), kind in zip(cases, itertools.cycle(("call", "put")))]
+    got = [implied_vol_black(*q) for q in quotes]
+    monkeypatch.setattr(pricing, "black76_price", _ref_black76)
+    monkeypatch.setattr(pricing, "_black_vega", _ref_vega)
+    ref = [implied_vol_black(*q) for q in quotes]
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert sum(not math.isnan(v) for v in ref) >= len(ref) // 2
