@@ -18,7 +18,6 @@ config file, overridden by command-line flags.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -59,8 +58,8 @@ PRESETS = {
     "set3": dict(n_states=20, hurst=0.3, lam=0.0, nu=0.31, v0=0.1, theta=0.02, rho=0.7),
 }
 
-_MODEL_KEYS = ("n_states", "hurst", "lam", "nu", "v0", "theta", "rho", "s0", "rate", "t0")
-_MODEL_DEFAULTS = dict(s0=100.0, rate=0.0, t0=0.0)
+# model inputs when no key sets them: set1 plus the price, rate and time origin
+_DEFAULT_MODEL = dict(PRESETS["set1"], s0=100.0, rate=0.0, t0=0.0)
 
 # Stream ids per role, so every run in a command draws from an
 # independent stream of the one master seed.
@@ -74,13 +73,9 @@ _CSV_CHUNK = 8192  # samples.csv lines formatted per write
 
 _SENS_WINDOW = 0.5
 _SENS_EULER_STEPS = 500
+# the parameters `sensitivity` can bump, with their default bumps
 _DEFAULT_BUMPS = (
-    ("lam", 1e-3),
-    ("nu", 1e-3),
-    ("v0", 1e-3),
-    ("theta", 1e-3),
-    ("hurst", 1e-3),
-    ("n_states", 1.0),
+    ("lam", 1e-3), ("nu", 1e-3), ("v0", 1e-3), ("theta", 1e-3), ("hurst", 1e-3), ("n_states", 1.0)
 )
 
 _ERROR_CAP = 1e3
@@ -91,15 +86,15 @@ class ExperimentConfig:
     """One experiment: model inputs plus run settings.
 
     ``model`` holds the scalar inputs the parameter vectors are built
-    from, so bump studies can rebuild (omega, x) after varying the
-    roughness index or the factor count.
+    from, defaults merged in, so bump studies can rebuild (omega, x)
+    after varying the roughness index or the factor count.  ``steps_list``
+    holds step counts (simulate, vix) or step sizes (converge).
     """
 
-    model: dict = field(default_factory=lambda: dict(PRESETS["set1"]))
+    model: dict = field(default_factory=lambda: dict(_DEFAULT_MODEL))
     curve_kind: str = "lifted"
     scheme: str = "clp"
     t_end: float | None = None
-    n_steps: int = 100
     times: tuple | None = None
     steps_list: tuple | None = None
     n_paths: int = 10_000
@@ -110,9 +105,8 @@ class ExperimentConfig:
     bumps: tuple = _DEFAULT_BUMPS
 
     def build_params(self, **overrides) -> ModelParams:
-        kwargs = dict(_MODEL_DEFAULTS)
-        kwargs.update(self.model)
-        kwargs.update(overrides)
+        kwargs = {**self.model, **overrides}
+        # a bump of n_states moves it by a float
         kwargs["n_states"] = int(round(kwargs["n_states"]))
         return ModelParams.from_hurst(**kwargs)
 
@@ -161,21 +155,88 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def _parse_float(raw: str, key: str) -> float:
+# Every parser takes (raw string, key) and returns the value or raises
+# ConfigError.
+
+
+def _number(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: not a number: {raw!r}") from exc
+    if not math.isfinite(value):  # nan, inf and overflow such as 1e400
+        raise ConfigError(f"{key}: not a finite number: {raw!r}")
+    return value
 
 
-def _parse_int(raw: str, key: str) -> int:
+def _whole(raw: str, key: str) -> int:
+    value = _number(raw, key)
+    if value != int(value):
+        raise ConfigError(f"{key}: not a whole number: {raw!r}")
+    return int(value)
+
+
+def _integer(raw: str, key: str) -> int:
     try:
         return int(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: not an integer: {raw!r}") from exc
 
 
-def _parse_bumps(raw: str) -> tuple:
+def _count(raw: str, key: str) -> int:
+    value = _integer(raw, key)
+    if value < 1:
+        raise ConfigError(f"{key} must be >= 1")
+    return value
+
+
+def _numbers(raw: str, key: str) -> tuple:
+    return tuple(_number(s.strip(), key) for s in raw.split(",") if s.strip())
+
+
+def _steps(raw: str, key: str) -> tuple:
+    values = _numbers(raw, key)
+    if not values:
+        raise ConfigError("steps: empty list")
+    if any(v <= 0 for v in values):
+        raise ConfigError("steps: entries must be > 0")
+    return values
+
+
+def _times(raw: str, key: str) -> tuple:
+    values = _numbers(raw, key)
+    if len(values) < 2:
+        raise ConfigError("times: need at least two grid points")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError("times must be strictly increasing")
+    return values
+
+
+def _preset(raw: str, key: str) -> dict:
+    try:
+        return PRESETS[raw]
+    except KeyError:
+        raise ConfigError(
+            f"unknown preset {raw!r}; choose from {', '.join(sorted(PRESETS))}"
+        ) from None
+
+
+def _one_of(*choices):
+    def parse(raw: str, key: str) -> str:
+        if raw not in choices:
+            raise ConfigError(f"{key}: expected {' or '.join(map(repr, choices))}, got {raw!r}")
+        return raw
+
+    return parse
+
+
+def _fix(raw: str, key: str) -> str:
+    if raw not in [f.value for f in VarianceFix]:
+        raise ConfigError(f"fix: unknown variance fix {raw!r}")
+    return raw
+
+
+def _bumps(raw: str, key: str) -> tuple:
     # "lam:0.001,nu:0,..."; a zero bump is allowed and reports an exact
     # zero sensitivity (common random numbers).
     out = []
@@ -187,104 +248,71 @@ def _parse_bumps(raw: str) -> tuple:
         if not sep:
             raise ConfigError(f"bumps: expected name:delta, got {item!r}")
         name = name.strip()
-        if name not in ("lam", "nu", "v0", "theta", "hurst", "n_states"):
+        if name not in dict(_DEFAULT_BUMPS):
             raise ConfigError(f"bumps: unknown parameter {name!r}")
-        out.append((name, _parse_float(value.strip(), "bumps")))
+        out.append((name, _number(value.strip(), "bumps")))
     if not out:
         raise ConfigError("bumps: empty list")
     return tuple(out)
 
 
+# config key -> (ExperimentConfig field it sets, parser, help when the key
+# is also a command-line flag).  "preset" replaces the model inputs and
+# each model key then overrides one of them, hence the order.
+_KEYS = {
+    "preset": ("model", _preset, "parameter preset: set1, set2 or set3"),
+    "n_states": ("model", _whole, None),
+    **{key: ("model", _number, None)
+       for key in ("hurst", "lam", "nu", "v0", "theta", "rho", "s0", "rate", "t0")},
+    "curve": ("curve_kind", _one_of("lifted", "heston"), None),
+    "scheme": ("scheme", _one_of("clp", "euler"), "simulation scheme: clp or euler"),
+    "t_end": ("t_end", _number, None),
+    "steps": ("steps_list", _steps,
+              "comma list: step sizes (converge) or step counts (simulate, vix)"),
+    "times": ("times", _times, None),
+    "paths": ("n_paths", _count, "number of Monte Carlo paths"),
+    "seed": ("seed", _integer, "master seed; every run derives its stream from it"),
+    "out": ("out_dir", lambda raw, key: raw, "output directory for CSV files"),
+    "benchmark_steps": ("benchmark_steps", _count, None),
+    "fix": ("fix", _fix, None),
+    "bumps": ("bumps", _bumps, None),
+}
+
+
 def build_config(raw: dict) -> ExperimentConfig:
     """Validated config from merged file + flag settings."""
-    raw = dict(raw)
-    cfg = ExperimentConfig()
-
-    preset = raw.pop("preset", None)
-    model = dict(PRESETS["set1"])
-    if preset is not None:
-        try:
-            model = dict(PRESETS[preset])
-        except KeyError:
-            raise ConfigError(
-                f"unknown preset {preset!r}; choose from {', '.join(sorted(PRESETS))}"
-            ) from None
-    for key in _MODEL_KEYS:
-        if key in raw:
-            value = _parse_float(raw.pop(key), key)
-            model[key] = int(value) if key == "n_states" else value
-    cfg = replace(cfg, model=model)
-
-    if "curve" in raw:
-        kind = raw.pop("curve")
-        if kind not in ("lifted", "heston"):
-            raise ConfigError(f"curve: expected 'lifted' or 'heston', got {kind!r}")
-        cfg = replace(cfg, curve_kind=kind)
-    if "scheme" in raw:
-        scheme = raw.pop("scheme")
-        if scheme not in ("clp", "euler"):
-            raise ConfigError(f"scheme: expected 'clp' or 'euler', got {scheme!r}")
-        cfg = replace(cfg, scheme=scheme)
-    if "t_end" in raw:
-        cfg = replace(cfg, t_end=_parse_float(raw.pop("t_end"), "t_end"))
-    if "steps" in raw:
-        items = [s for s in raw.pop("steps").split(",") if s.strip()]
-        if not items:
-            raise ConfigError("steps: empty list")
-        values = tuple(_parse_float(s.strip(), "steps") for s in items)
-        if any(v <= 0 for v in values):
-            raise ConfigError("steps: entries must be > 0")
-        # commands read their own meaning out of steps_list (counts for
-        # simulate/vix, step sizes for converge); mirror a whole-number
-        # first entry into n_steps, fractional step sizes leave it alone
-        count = int(values[0])
-        if float(count) == values[0] and count >= 1:
-            cfg = replace(cfg, steps_list=values, n_steps=count)
+    model = dict(_DEFAULT_MODEL)
+    settings = {}
+    for key, (name, parse, _) in _KEYS.items():
+        if key not in raw:
+            continue
+        value = parse(raw[key], key)
+        if key == "preset":
+            model.update(value)
+        elif name == "model":
+            model[key] = value
         else:
-            cfg = replace(cfg, steps_list=values)
-    if "times" in raw:
-        values = tuple(
-            _parse_float(s.strip(), "times") for s in raw.pop("times").split(",") if s.strip()
-        )
-        if len(values) < 2:
-            raise ConfigError("times: need at least two grid points")
-        cfg = replace(cfg, times=values)
-    if "paths" in raw:
-        cfg = replace(cfg, n_paths=_parse_int(raw.pop("paths"), "paths"))
-    if "seed" in raw:
-        cfg = replace(cfg, seed=_parse_int(raw.pop("seed"), "seed"))
-    if "out" in raw:
-        cfg = replace(cfg, out_dir=raw.pop("out"))
-    if "benchmark_steps" in raw:
-        cfg = replace(cfg, benchmark_steps=_parse_int(raw.pop("benchmark_steps"), "benchmark_steps"))
-    if "fix" in raw:
-        fix = raw.pop("fix")
-        if fix not in [f.value for f in VarianceFix]:
-            raise ConfigError(f"fix: unknown variance fix {fix!r}")
-        cfg = replace(cfg, fix=fix)
-    if "bumps" in raw:
-        cfg = replace(cfg, bumps=_parse_bumps(raw.pop("bumps")))
-    if raw:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(raw))}")
+            settings[name] = value
+    unknown = sorted(set(raw) - set(_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    if cfg.n_paths < 1:
-        raise ConfigError("paths must be >= 1")
-    if cfg.n_steps < 1:
-        raise ConfigError("steps must be >= 1")
-    if cfg.benchmark_steps < 1:
-        raise ConfigError("benchmark_steps must be >= 1")
-    model_check = dict(_MODEL_DEFAULTS)
-    model_check.update(cfg.model)
-    if cfg.t_end is not None and cfg.t_end <= model_check["t0"]:
+    cfg = ExperimentConfig(model=model, **settings)
+    if cfg.t_end is not None and cfg.t_end <= model["t0"]:
         raise ConfigError("t_end must exceed t0")
     try:
         cfg.build_params()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.times is not None:
-        if any(b <= a for a, b in zip(cfg.times, cfg.times[1:])):
-            raise ConfigError("times must be strictly increasing")
     return cfg
+
+
+def _step_counts(cfg: ExperimentConfig, default: tuple) -> tuple | None:
+    """``steps`` read as step counts (simulate, vix); None if one is fractional."""
+    values = cfg.steps_list if cfg.steps_list is not None else default
+    if any(v != int(v) for v in values):
+        return None
+    return tuple(int(v) for v in values)
 
 
 # -- output helpers ----------------------------------------------------------
@@ -298,27 +326,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Write a header and ``rows``; a row is a sequence of cells or a
-    string of lines already formatted as the cells would be."""
+def _csv_line(cells) -> str:
+    """One CSV line of ``_fmt`` cells.  No cell the commands write holds a
+    comma, quote or newline, so none needs quoting."""
+    return ",".join(map(_fmt, cells)) + "\n"
+
+
+def _write_csv(path: Path, header, lines) -> None:
+    """Write the ``header`` cells, then ``lines``, strings of whole CSV lines."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            if isinstance(row, str):
-                fh.write(row)
-            else:
-                writer.writerow([_fmt(v) for v in row])
+        fh.write(_csv_line(header))
+        fh.writelines(lines)
     print(f"wrote {path}")
+
+
+def _write_rows(path: Path, rows: list) -> None:
+    """Write dict ``rows``; the keys of the first are the header."""
+    _write_csv(path, rows[0], (_csv_line(row.values()) for row in rows))
 
 
 def _sample_lines(out: SimOutput):
     """``samples.csv`` rows in chunks of ``_CSV_CHUNK`` formatted lines.
 
     Python floats from ``tolist`` written with ``!r`` give the bytes of
-    ``_fmt`` through ``csv.writer`` (no cell needs quoting) at a fraction
-    of the cost; the chunks stream, so the whole file is never held.
+    ``_csv_line`` at a fraction of the cost; the chunks stream, so the
+    whole file is never held.
     """
     n = out.s.shape[0]
     for lo in range(0, n, _CSV_CHUNK):
@@ -341,49 +374,18 @@ def _run_scheme(cfg: ExperimentConfig, grid, stream: RngStream, snapshot_times=(
     return simulate_clp(params, curve, grid, cfg.n_paths, stream, snapshot_times=snapshot_times)
 
 
-def _summary_row(out: SimOutput, cfg: ExperimentConfig, dt: float):
+def _summary_row(out: SimOutput, cfg: ExperimentConfig, dt: float) -> dict:
     s = out.summary()
     d = out.diagnostics
-    return (
-        cfg.scheme,
-        d.n_steps,
-        dt,
-        int(s["n_paths"]),
-        s["mean_s"],
-        s["se_mean_s"],
-        s["mean_v"],
-        s["se_mean_v"],
-        s["mean_x"],
-        s["se_mean_x"],
-        s["var_x"],
-        s["se_var_x"],
-        d.min_variance,
-        d.constrained_fraction,
-        d.degenerate_mean_draws,
-        d.clamped_variance_values,
-        d.negative_variance_paths,
+    # n_paths, then the means, variances and their standard errors, in
+    # the order of summary(); n_paths keeps its place as an integer
+    return dict(
+        scheme=cfg.scheme, n_steps=d.n_steps, dt=dt, **s | {"n_paths": int(s["n_paths"])},
+        min_variance=d.min_variance, constrained_fraction=d.constrained_fraction,
+        degenerate_mean_draws=d.degenerate_mean_draws,
+        clamped_variance_values=d.clamped_variance_values,
+        negative_variance_paths=d.negative_variance_paths,
     )
-
-
-_SUMMARY_HEADER = (
-    "scheme",
-    "n_steps",
-    "dt",
-    "n_paths",
-    "mean_s",
-    "se_mean_s",
-    "mean_v",
-    "se_mean_v",
-    "mean_x",
-    "se_mean_x",
-    "var_x",
-    "se_var_x",
-    "min_variance",
-    "constrained_fraction",
-    "degenerate_mean_draws",
-    "clamped_variance_values",
-    "negative_variance_paths",
-)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -392,20 +394,19 @@ _SUMMARY_HEADER = (
 def cmd_simulate(cfg: ExperimentConfig) -> None:
     """One run on a uniform (or explicit) grid; samples + summary CSV."""
     params = cfg.build_params()
-    if cfg.steps_list is not None and (
-        len(cfg.steps_list) != 1 or float(cfg.n_steps) != cfg.steps_list[0]
-    ):
+    counts = _step_counts(cfg, (100,))
+    if counts is None or len(counts) != 1:
         raise ConfigError("steps: simulate takes a single whole-number step count")
     if cfg.times is not None:
         grid = np.asarray(cfg.times, dtype=float)
     else:
         t_end = cfg.t_end if cfg.t_end is not None else 1.0
-        grid = np.linspace(params.t0, t_end, cfg.n_steps + 1)
+        grid = np.linspace(params.t0, t_end, counts[0] + 1)
     out = _run_scheme(cfg, grid, RngStream(cfg.seed, stream_id=_STREAM_MAIN))
     out_dir = Path(cfg.out_dir)
     _write_csv(out_dir / "samples.csv", ("path_id", "s_t", "v_t", "x_t"), _sample_lines(out))
     dt = float(grid[1] - grid[0])
-    _write_csv(out_dir / "summary.csv", _SUMMARY_HEADER, [_summary_row(out, cfg, dt)])
+    _write_rows(out_dir / "summary.csv", [_summary_row(out, cfg, dt)])
 
 
 def cmd_converge(cfg: ExperimentConfig) -> None:
@@ -443,46 +444,21 @@ def cmd_converge(cfg: ExperimentConfig) -> None:
             var_err = abs(s["var_x"] - bsum["var_x"])
             mean_err_se = math.hypot(s["se_mean_x"], bsum["se_mean_x"])
             var_err_se = math.hypot(s["se_var_x"], bsum["se_var_x"])
-        rows.append(
-            (
-                cfg.scheme,
-                dt,
-                out.diagnostics.n_steps,
-                s["mean_x"],
-                s["se_mean_x"],
-                s["var_x"],
-                s["se_var_x"],
-                mean_err,
-                mean_err_se,
-                var_err,
-                var_err_se,
-            )
-        )
-    header = (
-        "scheme",
-        "dt",
-        "n_steps",
-        "mean_x",
-        "se_mean_x",
-        "var_x",
-        "se_var_x",
-        "abs_mean_err",
-        "abs_mean_err_se",
-        "abs_var_err",
-        "abs_var_err_se",
-    )
+        rows.append(dict(
+            scheme=cfg.scheme, dt=dt, n_steps=out.diagnostics.n_steps,
+            **{k: s[k] for k in ("mean_x", "se_mean_x", "var_x", "se_var_x")},
+            abs_mean_err=mean_err, abs_mean_err_se=mean_err_se,
+            abs_var_err=var_err, abs_var_err_se=var_err_se,
+        ))
     out_dir = Path(cfg.out_dir)
-    _write_csv(out_dir / "convergence.csv", header, rows)
+    _write_rows(out_dir / "convergence.csv", rows)
     capped = [
-        row[:7] + (min(row[7], _ERROR_CAP), row[8], min(row[9], _ERROR_CAP), row[10])
+        dict(row, abs_mean_err=min(row["abs_mean_err"], _ERROR_CAP),
+             abs_var_err=min(row["abs_var_err"], _ERROR_CAP))
         for row in rows
     ]
-    _write_csv(out_dir / "convergence_plot.csv", header, capped)
-    _write_csv(
-        out_dir / "benchmark.csv",
-        _SUMMARY_HEADER,
-        [_summary_row(bench, bench_cfg, bench_dt)],
-    )
+    _write_rows(out_dir / "convergence_plot.csv", capped)
+    _write_rows(out_dir / "benchmark.csv", [_summary_row(bench, bench_cfg, bench_dt)])
 
 
 def _residual_samples(cfg: ExperimentConfig, overrides: dict) -> tuple[np.ndarray, float]:
@@ -521,48 +497,32 @@ def cmd_sensitivity(cfg: ExperimentConfig) -> None:
     x2_base, sur_base = _residual_samples(cfg, {})
     e2_base = float(np.mean(x2_base)) - sur_base
     n = x2_base.shape[0]
-    model_full = dict(_MODEL_DEFAULTS)
-    model_full.update(cfg.model)
 
     rows = []
     for name, delta in cfg.bumps:
-        base_value = float(model_full[name])
+        base_value = float(cfg.model[name])
         if delta == 0.0:
             # same parameters, same stream: the difference is exactly zero
-            rows.append((name, base_value, 0.0, e2_base, 0.0, 0.0, 0.0))
-            continue
-        x2_bump, sur_bump = _residual_samples(cfg, {name: base_value + delta})
-        diff = x2_bump - x2_base
-        e2_bump = float(np.mean(x2_bump)) - sur_bump
-        sens_abs = (float(np.mean(diff)) - (sur_bump - sur_base)) / delta
-        sens_se = float(np.std(diff, ddof=1)) / math.sqrt(n) / abs(delta)
-        sens_rel = sens_abs / base_value if base_value != 0.0 else float("nan")
-        rows.append((name, base_value, delta, e2_bump, sens_abs, sens_se, sens_rel))
-
-    header = (
-        "parameter",
-        "base_value",
-        "bump",
-        "residual_second_moment",
-        "sensitivity_abs",
-        "sensitivity_abs_se",
-        "sensitivity_rel",
-    )
+            # (and a bump of -0.0 is written as 0.0)
+            delta, e2_bump, sens_abs, sens_se, sens_rel = 0.0, e2_base, 0.0, 0.0, 0.0
+        else:
+            x2_bump, sur_bump = _residual_samples(cfg, {name: base_value + delta})
+            diff = x2_bump - x2_base
+            e2_bump = float(np.mean(x2_bump)) - sur_bump
+            sens_abs = (float(np.mean(diff)) - (sur_bump - sur_base)) / delta
+            sens_se = float(np.std(diff, ddof=1)) / math.sqrt(n) / abs(delta)
+            sens_rel = sens_abs / base_value if base_value != 0.0 else float("nan")
+        rows.append(dict(
+            parameter=name, base_value=base_value, bump=delta, residual_second_moment=e2_bump,
+            sensitivity_abs=sens_abs, sensitivity_abs_se=sens_se, sensitivity_rel=sens_rel,
+        ))
     out_dir = Path(cfg.out_dir)
-    _write_csv(out_dir / "sensitivity.csv", header, rows)
-    _write_csv(
-        out_dir / "sensitivity_base.csv",
-        ("residual_second_moment", "se", "window", "euler_steps", "n_paths"),
-        [
-            (
-                e2_base,
-                float(np.std(x2_base, ddof=1)) / math.sqrt(n),
-                _SENS_WINDOW,
-                _SENS_EULER_STEPS,
-                n,
-            )
-        ],
+    _write_rows(out_dir / "sensitivity.csv", rows)
+    base = dict(
+        residual_second_moment=e2_base, se=float(np.std(x2_base, ddof=1)) / math.sqrt(n),
+        window=_SENS_WINDOW, euler_steps=_SENS_EULER_STEPS, n_paths=n,
     )
+    _write_rows(out_dir / "sensitivity_base.csv", [base])
 
 
 def cmd_vix(cfg: ExperimentConfig) -> None:
@@ -578,13 +538,9 @@ def cmd_vix(cfg: ExperimentConfig) -> None:
     spec = VixSpec()
     params = cfg.build_params()
     curve = cfg.build_curve()
-    counts = cfg.steps_list if cfg.steps_list is not None else (13.0, 26.0, 39.0, 78.0)
-    steps = []
-    for value in counts:
-        count = int(round(value))
-        if abs(value - count) > 1e-9 or count % 13 != 0 or count <= 0:
-            raise ConfigError("vix steps must be positive multiples of 13")
-        steps.append(count)
+    steps = _step_counts(cfg, (13, 26, 39, 78))
+    if steps is None or any(count % 13 for count in steps):
+        raise ConfigError("vix steps must be positive multiples of 13")
 
     # the option matures spec.t after t0; the model clock reads t0 + spec.t
     t_obs = params.t0 + spec.t
@@ -606,86 +562,27 @@ def cmd_vix(cfg: ExperimentConfig) -> None:
             kind = "put" if strike < forward else "call"
             quote = price_european(vix, strike, spec.t, params.rate, kind)
             vol = implied_vol_black(quote.price, forward, strike, spec.t, params.rate, kind)
-            rows.append(
-                (
-                    cfg.scheme,
-                    count,
-                    float(m),
-                    strike,
-                    kind,
-                    quote.price,
-                    quote.std_err,
-                    vol,
-                    neg_paths,
-                )
-            )
-        _write_csv(
-            out_dir / f"vix_smile_{cfg.scheme}_{count}.csv",
-            (
-                "scheme",
-                "n_steps",
-                "moneyness",
-                "strike",
-                "kind",
-                "price",
-                "price_se",
-                "implied_vol",
-                "negative_variance_paths",
-            ),
-            rows,
-        )
+            rows.append(dict(
+                scheme=cfg.scheme, n_steps=count, moneyness=float(m), strike=strike, kind=kind,
+                price=quote.price, price_se=quote.std_err, implied_vol=vol,
+                negative_variance_paths=neg_paths,
+            ))
+        _write_rows(out_dir / f"vix_smile_{cfg.scheme}_{count}.csv", rows)
         # tower identity: mean squared VIX times the horizon should match
         # the mean simulated continuation of integrated variance
         vix2_mean, vix2_se = mean_se(vix**2 * spec.horizon)
         cont_mean, cont_se = mean_se(out.x - snap.x_cum)
-        summary_rows.append(
-            (
-                cfg.scheme,
-                count,
-                float(grid[1] - grid[0]),
-                forward,
-                forward_se,
-                vix2_mean,
-                vix2_se,
-                cont_mean,
-                cont_se,
-                clamped,
-                neg_paths,
-            )
-        )
-    _write_csv(
-        out_dir / "vix_summary.csv",
-        (
-            "scheme",
-            "n_steps",
-            "dt",
-            "forward",
-            "forward_se",
-            "mean_vix2_scaled",
-            "mean_vix2_scaled_se",
-            "continuation_mean",
-            "continuation_se",
-            "clamped_vix_values",
-            "negative_variance_paths",
-        ),
-        summary_rows,
-    )
+        summary_rows.append(dict(
+            scheme=cfg.scheme, n_steps=count, dt=float(grid[1] - grid[0]),
+            forward=forward, forward_se=forward_se,
+            mean_vix2_scaled=vix2_mean, mean_vix2_scaled_se=vix2_se,
+            continuation_mean=cont_mean, continuation_se=cont_se,
+            clamped_vix_values=clamped, negative_variance_paths=neg_paths,
+        ))
+    _write_rows(out_dir / "vix_summary.csv", summary_rows)
 
 
 # -- entry point -------------------------------------------------------------
-
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--preset", help="parameter preset: set1, set2 or set3")
-    sub.add_argument("--scheme", help="simulation scheme: clp or euler")
-    sub.add_argument(
-        "--steps",
-        help="comma list: step sizes (converge) or step counts (simulate, vix)",
-    )
-    sub.add_argument("--paths", help="number of Monte Carlo paths")
-    sub.add_argument("--seed", help="master seed; every run derives its stream from it")
-    sub.add_argument("--out", help="output directory for CSV files")
 
 
 def main(argv=None) -> int:
@@ -702,15 +599,15 @@ def main(argv=None) -> int:
     }
     for name, handler in handlers.items():
         sub = commands.add_parser(name, help=handler.__doc__.splitlines()[0].lower())
-        _add_common_flags(sub)
+        sub.add_argument("--config", help="flat key=value config file")
+        for key, (_, _, flag_help) in _KEYS.items():
+            if flag_help is not None:
+                sub.add_argument(f"--{key}", help=flag_help)
     args = parser.parse_args(argv)
 
     try:
         raw = parse_config_file(args.config) if args.config else {}
-        for key in ("preset", "scheme", "steps", "paths", "seed", "out"):
-            value = getattr(args, key)
-            if value is not None:
-                raw[key] = value
+        raw.update((k, v) for k, v in vars(args).items() if k in _KEYS and v is not None)
         cfg = build_config(raw)
         handlers[args.command](cfg)
     except (ValueError, FloatingPointError) as exc:

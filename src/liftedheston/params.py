@@ -150,6 +150,12 @@ class ModelParams:
         x = np.atleast_1d(np.asarray(self.x, dtype=float))
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "x", x)
+        # NaN fails no ordered comparison below, so finiteness comes first
+        for name in ("lam", "nu", "v0", "theta", "rho", "s0", "rate", "t0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(x))):
+            raise ValueError("omega and x entries must be finite")
         if self.n_states < 1:
             raise ValueError("n_states must be >= 1")
         if omega.shape != (self.n_states,) or x.shape != (self.n_states,):

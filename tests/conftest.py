@@ -5,9 +5,13 @@ they are computed once per session and shared by every test that needs
 a fine-grid reference distribution.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import liftedheston
 from liftedheston import (
     InitialCurve,
     ModelParams,
@@ -19,6 +23,15 @@ from liftedheston import (
 BENCH_PATHS = 200_000
 BENCH_STEPS = 1000
 BENCH_T = 5.0
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for a child interpreter that imports the package under
+    test, with or without PYTHONPATH set for the suite itself."""
+    src = str(Path(liftedheston.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture(scope="session")

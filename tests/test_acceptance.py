@@ -6,7 +6,6 @@ frozen; each criterion draws from its own stream family so the suite is
 reproducible draw for draw.
 """
 
-import os
 import subprocess
 import sys
 
@@ -328,7 +327,7 @@ def test_criterion_11_euler_divergence(set3, curve, bench_set3):
     assert clp_ok
 
 
-def test_criterion_12_cli_determinism(tmp_path):
+def test_criterion_12_cli_determinism(tmp_path, child_env):
     """Byte-identical CSV output for every command regardless of the BLAS
     thread pool size."""
     conv_cfg = tmp_path / "conv.cfg"
@@ -349,7 +348,7 @@ def test_criterion_12_cli_determinism(tmp_path):
         outputs = []
         for threads in ("1", "4"):
             out_dir = tmp_path / f"{name}_t{threads}"
-            env = dict(os.environ,
+            env = dict(child_env,
                        OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads,
                        MKL_NUM_THREADS=threads)

@@ -1,8 +1,9 @@
 """Experiment harness: config parsing, grids, commands, CSV determinism."""
 
 import ast
-import filecmp
-import os
+import csv
+import io
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +13,13 @@ import pytest
 
 import liftedheston
 from liftedheston.cli import (
+    _KEYS,
     PRESETS,
     ConfigError,
     ExperimentConfig,
+    _csv_line,
+    _fmt,
+    _write_csv,
     build_config,
     build_grid,
     main,
@@ -84,6 +89,87 @@ def test_build_config_rejects_bad_input():
         build_config({"bumps": "kappa:0.1"})
     with pytest.raises(ConfigError):
         build_config({"fix": "clamp"})
+    with pytest.raises(ConfigError, match="^n_states: not a whole number: '2.5'$"):
+        build_config({"n_states": "2.5"})
+    # every number must be finite, overflow included
+    for key in ("steps", "n_states", "hurst", "lam", "nu", "v0", "theta", "rho", "s0", "rate",
+                "t0", "t_end", "times", "bumps"):
+        for value in ("nan", "inf", "-inf", "1e400", "-1e400"):
+            entry = {"times": f"0,0.5,{value}", "bumps": f"lam:{value}"}.get(key, value)
+            with pytest.raises(ConfigError, match=f"^{key}: not a finite number: "):
+                build_config({key: entry})
+
+
+# one valid value per config key and where the built config holds it
+_KEY_VALUES = {
+    "preset": ("set2", lambda c: c.model, dict(PRESETS["set2"], s0=100.0, rate=0.0, t0=0.0)),
+    "n_states": ("7.0", lambda c: c.model["n_states"], 7),
+    "hurst": ("0.2", lambda c: c.model["hurst"], 0.2),
+    "lam": ("0.5", lambda c: c.model["lam"], 0.5),
+    "nu": ("0.3", lambda c: c.model["nu"], 0.3),
+    "v0": ("0.04", lambda c: c.model["v0"], 0.04),
+    "theta": ("0.6", lambda c: c.model["theta"], 0.6),
+    "rho": ("-0.5", lambda c: c.model["rho"], -0.5),
+    "s0": ("90", lambda c: c.model["s0"], 90.0),
+    "rate": ("0.03", lambda c: c.model["rate"], 0.03),
+    "t0": ("0.25", lambda c: c.model["t0"], 0.25),
+    "curve": ("heston", lambda c: c.curve_kind, "heston"),
+    "scheme": ("euler", lambda c: c.scheme, "euler"),
+    "t_end": ("2.5", lambda c: c.t_end, 2.5),
+    "steps": ("3, 4.5", lambda c: c.steps_list, (3.0, 4.5)),
+    "times": ("0,0.5,2", lambda c: c.times, (0.0, 0.5, 2.0)),
+    "paths": ("123", lambda c: c.n_paths, 123),
+    "seed": ("-7", lambda c: c.seed, -7),
+    "out": ("runs/a b", lambda c: c.out_dir, "runs/a b"),
+    "benchmark_steps": ("40", lambda c: c.benchmark_steps, 40),
+    "fix": ("absorption", lambda c: c.fix, "absorption"),
+    "bumps": ("lam:0, hurst:2e-3", lambda c: c.bumps, (("lam", 0.0), ("hurst", 2e-3))),
+}
+
+
+def test_every_config_key_reaches_the_config():
+    assert list(_KEY_VALUES) == list(_KEYS) and len(_KEYS) == 22
+    default = build_config({})
+    for key, (raw, read, expected) in _KEY_VALUES.items():
+        assert read(default) != expected, key
+        value = read(build_config({key: raw}))
+        assert value == expected and type(value) is type(expected), key
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge", "sensitivity", "vix"])
+def test_help_lists_the_table_flags(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    flags = set(re.findall(r"--[a-z_]+", capsys.readouterr().out)) - {"--help"}
+    table_flags = {f"--{key}" for key, (_, _, flag_help) in _KEYS.items() if flag_help}
+    assert flags == table_flags | {"--config"}
+    assert flags == {"--config", "--preset", "--scheme", "--steps", "--paths", "--seed", "--out"}
+
+
+_AWKWARD_CELLS = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1,
+    2.0**53 + 1, np.float64(0.1), np.float64("nan"), np.float64(-0.0), np.float32(0.1),
+    np.int64(-3), np.int32(7), 0, 12345678901234567890, True,
+    "clp", "euler", "put", "call", "lam", "n_states", "hurst", "path_id", "implied_vol",
+    "negative_variance_paths", "mean_vix2_scaled_se",
+]
+
+
+def test_csv_line_matches_csv_writer(tmp_path):
+    def reference(rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+        return buf.getvalue()
+
+    rows = [_AWKWARD_CELLS] + [[cell] for cell in _AWKWARD_CELLS]
+    for row in rows:
+        assert _csv_line(row) == reference([row]), row
+    path = tmp_path / "sub" / "t.csv"
+    _write_csv(path, ("a", "b"), (_csv_line(row) for row in rows[1:]))
+    assert path.read_bytes() == reference([("a", "b")] + rows[1:]).encode()
 
 
 def test_default_config_round_trip():
@@ -149,7 +235,7 @@ def test_cli_error_exits(tmp_path, capsys):
         main(["unknown-command"])
 
 
-def test_library_errors_exit_2_with_one_line(tmp_path):
+def test_library_errors_exit_2_with_one_line(tmp_path, child_env):
     # an explicit grid that starts after t0 passes config validation; the
     # driver's ValueError must reach the user as exit 2, not a traceback
     cfg = tmp_path / "sim.cfg"
@@ -157,12 +243,32 @@ def test_library_errors_exit_2_with_one_line(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "liftedheston.cli", "simulate", "--config", str(cfg),
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=600)
+        env=child_env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0] == "error: grid must start at t0"
     assert "Traceback" not in proc.stderr
+
+
+# each used to fail another way: an OverflowError traceback, a silent
+# run with N = 2, and a RuntimeWarning line before the error
+@pytest.mark.parametrize("config, flags, message", [
+    ("", ["--steps", "1e400"], "steps: not a finite number: '1e400'"),
+    ("n_states = 2.5\n", [], "n_states: not a whole number: '2.5'"),
+    ("t_end = inf\n", [], "t_end: not a finite number: 'inf'"),
+])
+def test_non_finite_and_fractional_input_exit_2_with_one_line(tmp_path, child_env, config,
+                                                               flags, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("paths = 20\n" + config)
+    proc = subprocess.run(
+        [sys.executable, "-m", "liftedheston.cli", "simulate", "--config", str(cfg), *flags,
+         "--out", str(tmp_path / "out")],
+        env=child_env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_converge_benchmark_reuse_gives_zero_error_rows(tmp_path):
@@ -279,7 +385,7 @@ def test_thread_count_does_not_change_csv(tmp_path):
 _UNUSED_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.interpolate")
 
 
-def test_import_graph_leaves_out_unused_scipy():
+def test_import_graph_leaves_out_unused_scipy(child_env):
     pkg = Path(liftedheston.__file__).resolve().parent
     code = (
         "import sys\n"
@@ -290,9 +396,7 @@ def test_import_graph_leaves_out_unused_scipy():
         "print(','.join(sorted(m for m in sys.modules\n"
         "                     if any(m == u or m.startswith(u + '.') for u in unused))))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(pkg.parent), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     module_file, loaded = proc.stdout.splitlines()

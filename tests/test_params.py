@@ -166,6 +166,23 @@ def test_model_params_validation():
         ModelParams(1, 1.0, 0.2, 0.04, 0.04, 0.0, np.array([1.0]), np.array([0.0]), s0=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["lam", "nu", "v0", "theta", "rho", "s0", "rate", "t0",
+                                  "omega", "x"])
+def test_model_params_rejects_non_finite_values(name, bad):
+    # NaN compares False against every bound, so only a finiteness check stops it
+    fields = dict(n_states=2, lam=1.0, nu=0.2, v0=0.04, theta=0.04, rho=0.0,
+                  omega=np.array([0.5, 1.0]), x=np.array([0.0, 2.0]),
+                  s0=100.0, rate=0.0, t0=0.0)
+    ModelParams(**fields)
+    if name in ("omega", "x"):
+        fields[name] = np.array([fields[name][0], bad])
+    else:
+        fields[name] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        ModelParams(**fields)
+
+
 def test_lam_zero_is_admitted(set3):
     assert set3.lam == 0.0
 
