@@ -33,12 +33,13 @@ means are phi1 U_s + xi and E_s[X_{s,t} Z_{s,t}] = omega . (chi U_s + psi).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .params import CurveKind, InitialCurve, ModelParams, g0, g0_integral
+from .params import InitialCurve, ModelParams, _curve_ode, g0, g0_integral
 
 __all__ = [
     "StepPrecompute",
@@ -105,31 +106,17 @@ def _generator(params: ModelParams, c0: float, c: np.ndarray, decay: np.ndarray,
 def _step_moments(params: ModelParams, curve: InitialCurve, s: float, t: float):
     """(phi1, chi, xi, psi) over [s, t] from the exponential of the step generator.
 
-    A CUSTOM curve is linear between its knots, so the step is split there
-    and the piece exponentials are multiplied; on each piece y is g0 itself
-    and b is the piece's slope.
+    A CUSTOM curve is split at its knots (``params._curve_ode``) and the
+    piece exponentials are multiplied in time order.  Raises ValueError
+    when the exponential overflows, as it does for extreme model values.
     """
     n = params.n_states
-    if curve.kind is CurveKind.CUSTOM:
-        knots = curve.times[(curve.times > s) & (curve.times < t)]
-        edges = np.concatenate(([s], knots, [t]))
-        values = g0(edges, params, curve)
-        expo = np.eye(3 * n + 3)
-        for width, slope in zip(np.diff(edges), np.diff(values) / np.diff(edges)):
-            expo = expm(_generator(params, 0.0, np.ones(1), np.zeros(1), slope) * width) @ expo
-        y_s = values[:1]
-    else:
-        tau = s - params.t0
-        coef = params.lam * params.theta
-        if curve.kind is CurveKind.HESTON_LINEAR:
-            gen = _generator(params, params.v0, np.array([coef]), np.zeros(1), 1.0)
-            y_s = np.array([tau])
-        else:
-            # y_n = (1 - exp(-x_n tau)) / x_n, whose x_n = 0 limit is tau
-            x = params.x
-            gen = _generator(params, params.v0, coef * params.omega, x, 1.0)
-            y_s = np.where(x > 0.0, -np.expm1(-x * tau) / np.where(x > 0.0, x, 1.0), tau)
-        expo = expm(gen * (t - s))
+    y_s, pieces = _curve_ode(params, curve, s, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exps = (expm(_generator(params, c0, c, d, b) * w) for w, c0, c, d, b in pieces)
+        expo = functools.reduce(lambda acc, e: e @ acc, exps)
+    if not np.all(np.isfinite(expo)):
+        raise ValueError("step moments overflow: model values too large")
     z0 = np.concatenate((y_s, [1.0]))
     forced = expo[: 2 * n, 3 * n + 1 :] @ z0
     return expo[n : 2 * n, 2 * n : 3 * n], expo[:n, 2 * n : 3 * n], forced[n:], forced[:n]

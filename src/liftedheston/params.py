@@ -13,8 +13,12 @@ collapses to classical Heston with mean reversion ``lam``, long-run
 variance ``theta`` and vol-of-vol ``nu``.
 
 This module owns the parameter container, the initial variance curve
-g0 and its running integral, and deterministic expectation curves used
-as independent references by the simulation schemes.
+g0, its running integral and its description as the output of a linear
+ODE (``_curve_ode``, shared with the step moments of ``numerics``), and
+the exact mean curves E[V_t] and E[X_{t0,t}].  The means come from the
+exponential of a small generator of their own (the model is affine, so
+its first moments solve a linear ODE), which keeps them an independent
+reference for the simulation schemes.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.special import gamma as gamma_fn
 
 __all__ = [
@@ -41,8 +46,7 @@ __all__ = [
     "heston_mean_integrated_variance",
 ]
 
-def _trapz(values: np.ndarray, grid: np.ndarray) -> float:
-    return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(grid)))
+_MAX_STATES = 1000
 
 
 class CurveKind(enum.Enum):
@@ -110,7 +114,7 @@ class ModelParams:
     Attributes
     ----------
     n_states : int
-        Number of variance factors N >= 1.
+        Number of variance factors, 1 <= N <= 1000.
     lam : float
         Mean-reversion speed lambda >= 0.
     nu : float
@@ -158,6 +162,9 @@ class ModelParams:
             raise ValueError("omega and x entries must be finite")
         if self.n_states < 1:
             raise ValueError("n_states must be >= 1")
+        # the step generator is (4N + 2)^2 doubles, about 128 MB at the cap
+        if self.n_states > _MAX_STATES:
+            raise ValueError(f"n_states must be <= {_MAX_STATES}")
         if omega.shape != (self.n_states,) or x.shape != (self.n_states,):
             raise ValueError("omega and x must both have shape (n_states,)")
         if self.lam < 0:
@@ -284,7 +291,7 @@ def _custom_integral(curve: InitialCurve, s: float, t: float) -> float:
     inner = times[(times > s) & (times < t)]
     grid = np.concatenate(([s], inner, [t]))
     vals = _custom_value(curve, grid)
-    return float(_trapz(vals, grid))
+    return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)))
 
 
 def g0_integral(s: float, t: float, params: ModelParams, curve: InitialCurve) -> float:
@@ -313,97 +320,75 @@ def g0_integral(s: float, t: float, params: ModelParams, curve: InitialCurve) ->
     return total
 
 
-def _mean_variance_fine(params: ModelParams, curve: InitialCurve, t_end: float, m: int):
-    """Mean variance on a uniform grid of m intervals over [t0, t_end].
+def _curve_ode(params: ModelParams, curve: InitialCurve, s: float, t: float):
+    """g0 on [s, t] as the output of a linear ODE, in linear pieces.
 
-    Discretizes
-
-        E[V_T] = g0(T) - lam * sum_n omega_n *
-                 int_{t0}^{T} exp(-x_n (T - u)) E[V_u] du
-
-    by product integration: on each substep the unknown is taken linear
-    and the exponential kernel integrated exactly, so stiffness in x_n
-    costs no accuracy.  The update is implicit in the endpoint value and
-    solved in closed form.
+    Returns y(s) and a list of pieces (width, c0, c, d, b), in time order,
+    on each of which g0 = c0 + c . y with y' = b - d * y.  A CUSTOM curve
+    is split at its knots inside (s, t); on each piece y is g0 itself and
+    b the piece's slope.  The other kinds are one piece: HESTON_LINEAR has
+    y = t - t0, LIFTED_DEFAULT y_n = (1 - exp(-x_n (t - t0))) / x_n.
     """
-    h = (t_end - params.t0) / m
-    grid = params.t0 + h * np.arange(m + 1)
-    g = np.asarray(g0(grid, params, curve), dtype=float)
-    if params.lam == 0.0:
-        return grid, g.copy()
-    x, omega = params.x, params.omega
-    decay = np.exp(-x * h)
-    # weights of the exact kernel integral against a linear interpolant:
-    # int_0^h exp(-x (h - u)) (f0 (1 - u/h) + f1 u/h) du = w0 f0 + w1 f1
-    w_total = np.where(x > 0, -np.expm1(-x * h) / np.where(x > 0, x, 1.0), h)
-    w1 = np.where(x > 0, (1.0 - w_total / h) / np.where(x > 0, x, 1.0), 0.5 * h)
-    w0 = w_total - w1
-    mean_v = np.empty(m + 1)
-    mean_v[0] = g[0]
-    hist = np.zeros_like(x)
-    denom = 1.0 + params.lam * float(np.dot(omega, w1))
-    for j in range(1, m + 1):
-        hist = decay * hist + w0 * mean_v[j - 1]
-        mean_v[j] = (g[j] - params.lam * float(np.dot(omega, hist))) / denom
-        hist += w1 * mean_v[j]
-    return grid, mean_v
+    if curve.kind is CurveKind.CUSTOM:
+        knots = curve.times[(curve.times > s) & (curve.times < t)]
+        edges = np.concatenate(([s], knots, [t]))
+        values = g0(edges, params, curve)
+        widths = np.diff(edges)
+        return values[:1], [(w, 0.0, np.ones(1), np.zeros(1), b)
+                            for w, b in zip(widths, np.diff(values) / widths)]
+    tau = s - params.t0
+    coef = params.lam * params.theta
+    if curve.kind is CurveKind.HESTON_LINEAR:
+        return np.array([tau]), [(t - s, params.v0, np.array([coef]), np.zeros(1), 1.0)]
+    # the x_n = 0 limit of y_n is tau
+    x = params.x
+    y_s = np.where(x > 0.0, -np.expm1(-x * tau) / np.where(x > 0.0, x, 1.0), tau)
+    return y_s, [(t - s, params.v0, coef * params.omega, x, 1.0)]
 
 
-def expected_variance_curve(
-    grid,
-    params: ModelParams,
-    curve: InitialCurve,
-    tol: float = 1e-8,
-    max_refinements: int = 12,
-):
-    """E[V_t] on the requested grid, solved from the mean Volterra equation.
+def _mean_moments(params: ModelParams, curve: InitialCurve, t: float) -> tuple[float, float]:
+    """(E[V_t], E[X_{t0,t}]) from the exponential of the mean generator.
 
-    Refines an internal uniform discretization (doubling each pass) until
-    two successive refinements agree to ``tol`` in sup-norm on the
-    requested grid points.
+    With h_n(t) = int_{t0}^t exp(-x_n (t - u)) E[V_u] du the mean
+    variance is E[V_t] = g0(t) - lam * omega . h, so the vector
+    [h, I, y, 1], I = E[X_{t0,t}], obeys the constant-coefficient ODE
+
+        h' = E[V] - x * h,    I' = E[V],    E[V] = c0 + c . y - lam * omega . h,
+
+    on each piece of ``_curve_ode``, started from [0, 0, y(t0), 1].
     """
+    if t == params.t0:
+        return float(g0(t, params, curve)), 0.0
+    n = params.n_states
+    y, pieces = _curve_ode(params, curve, params.t0, t)
+    z = np.concatenate((np.zeros(n + 1), y, [1.0]))
+    for width, c0, c, d, b in pieces:
+        gen = np.zeros((z.size, z.size))
+        # row I is E[V]; each row h_n is E[V] - x_n h_n
+        gen[n, :n], gen[n, n + 1 : -1], gen[n, -1] = -params.lam * params.omega, c, c0
+        gen[:n] = gen[n]
+        gen[:n, :n] -= np.diag(params.x)
+        gen[n + 1 : -1, n + 1 : -1] = -np.diag(d)
+        gen[n + 1 : -1, -1] = b
+        z = expm(gen * width) @ z
+    mean_v = float(g0(t, params, curve)) - params.lam * float(params.omega @ z[:n])
+    return mean_v, float(z[n])
+
+
+def expected_variance_curve(grid, params: ModelParams, curve: InitialCurve) -> np.ndarray:
+    """E[V_t] at each point of ``grid``, exact up to rounding."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if np.any(grid < params.t0 - 1e-12):
         raise ValueError("grid precedes t0")
-    t_end = float(grid.max())
-    if t_end == params.t0:
-        return np.full(grid.shape, params.v0)
-    m = 64
-    fine_t, fine_v = _mean_variance_fine(params, curve, t_end, m)
-    prev = np.interp(grid, fine_t, fine_v)
-    for _ in range(max_refinements):
-        m *= 2
-        fine_t, fine_v = _mean_variance_fine(params, curve, t_end, m)
-        cur = np.interp(grid, fine_t, fine_v)
-        if np.max(np.abs(cur - prev)) < tol:
-            return cur
-        prev = cur
-    raise RuntimeError("mean variance solve did not reach tolerance %g" % tol)
+    means = [_mean_moments(params, curve, max(float(t), params.t0))[0] for t in grid.ravel()]
+    return np.reshape(means, grid.shape)
 
 
-def expected_integrated_variance(
-    t_end: float,
-    params: ModelParams,
-    curve: InitialCurve,
-    tol: float = 1e-8,
-    max_refinements: int = 12,
-) -> float:
-    """E[X_{t0,t_end}] = int_{t0}^{t_end} E[V_u] du, same refinement policy."""
+def expected_integrated_variance(t_end: float, params: ModelParams, curve: InitialCurve) -> float:
+    """E[X_{t0,t_end}] = int_{t0}^{t_end} E[V_u] du, exact up to rounding."""
     if t_end < params.t0:
         raise ValueError("t_end precedes t0")
-    if t_end == params.t0:
-        return 0.0
-    m = 64
-    fine_t, fine_v = _mean_variance_fine(params, curve, t_end, m)
-    prev = float(_trapz(fine_v, fine_t))
-    for _ in range(max_refinements):
-        m *= 2
-        fine_t, fine_v = _mean_variance_fine(params, curve, t_end, m)
-        cur = float(_trapz(fine_v, fine_t))
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise RuntimeError("integrated mean variance did not reach tolerance %g" % tol)
+    return _mean_moments(params, curve, float(t_end))[1]
 
 
 def heston_mean_variance(t: float, lam: float, theta: float, v0: float) -> float:

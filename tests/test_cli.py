@@ -271,6 +271,25 @@ def test_non_finite_and_fractional_input_exit_2_with_one_line(tmp_path, child_en
     assert not (tmp_path / "out").exists()
 
 
+# finite but extreme: the first two used to exit 0 after expm overflow
+# warnings with all-NaN CSVs, the last with a 7 TiB allocation traceback
+@pytest.mark.parametrize("config, message", [
+    ("nu = 1e300\n", "step moments overflow: model values too large"),
+    ("v0 = 1e300\ntheta = 1e300\n", "step moments overflow: model values too large"),
+    ("n_states = 1e6\n", "n_states must be <= 1000"),
+])
+def test_extreme_model_values_exit_2_with_one_line(tmp_path, child_env, config, message):
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text("preset = set1\n" + config)
+    proc = subprocess.run(
+        [sys.executable, "-m", "liftedheston.cli", "simulate", "--config", str(cfg),
+         "--paths", "10", "--steps", "2", "--out", str(tmp_path / "out")],
+        env=child_env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_benchmark_reuse_gives_zero_error_rows(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(

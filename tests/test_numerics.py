@@ -181,15 +181,15 @@ def test_precompute_matrix_blocks_depend_on_dt_only(set1, curve):
 
 
 @pytest.mark.parametrize("dt", [1.0 / 78.0, 0.5, 5.0])
-def test_one_step_mean_matches_volterra_mean(set1, set2, set3, curve, dt):
+def test_one_step_mean_matches_exact_mean(set1, set2, set3, curve, dt):
     """From U = 0 at t0 the step's mean integrated variance omega . xi + G0
-    equals the independent Volterra mean solve over [t0, t0 + dt]."""
+    equals the independent exact mean over [t0, t0 + dt]."""
     deep = ModelParams.from_hurst(100, 0.05, lam=0.3, nu=0.3, v0=0.02, theta=0.1, rho=-0.7)
     for p in (set1, set2, set3, deep):
         pre = precompute_step(p, curve, p.t0, p.t0 + dt)
         mean = float(p.omega @ pre.xi) + pre.g0_int
         ref = expected_integrated_variance(p.t0 + dt, p, curve)
-        assert abs(mean - ref) < 1e-8 * max(1.0, dt), f"n={p.n_states} dt={dt}"
+        assert abs(mean - ref) < 1e-12 * abs(ref), f"n={p.n_states} dt={dt}"
 
 
 def test_custom_curve_tabulating_linear_matches_heston_linear(set1):

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from liftedheston import (
+    CurveKind,
     InitialCurve,
     ModelParams,
     PathState,
@@ -23,6 +24,7 @@ from liftedheston import (
     simulate_euler,
     step_coefficients,
 )
+from liftedheston.params import _curve_ode
 
 
 def heston_collapse(lam=2.0, theta=0.04, v0=0.09, nu=0.2, rho=-0.3):
@@ -232,7 +234,7 @@ def test_expected_variance_collapses_to_heston_closed_form():
     ts = np.linspace(0.0, 2.0, 9)
     ev = expected_variance_curve(ts, p, c)
     ref = np.array([heston_mean_variance(t, 2.0, 0.04, 0.09) for t in ts])
-    assert np.max(np.abs(ev - ref)) < 1e-7
+    assert np.max(np.abs(ev - ref)) < 1e-13
 
 
 def test_expected_integrated_variance_collapses_to_heston_closed_form():
@@ -240,7 +242,7 @@ def test_expected_integrated_variance_collapses_to_heston_closed_form():
     c = InitialCurve.heston_linear()
     for t in (0.5, 1.0, 5.0):
         ref = heston_mean_integrated_variance(t, 2.0, 0.04, 0.09)
-        assert expected_integrated_variance(t, p, c) == pytest.approx(ref, rel=1e-7)
+        assert abs(expected_integrated_variance(t, p, c) - ref) < 1e-13
 
 
 def test_expected_variance_lam_zero_is_constant(set3, curve):
@@ -264,6 +266,87 @@ def test_expected_variance_approaches_stationary_level(set1, set2, curve):
         ts = np.linspace(10.0, 40.0, 7)
         gaps = np.abs(expected_variance_curve(ts, p, curve) - limit)
         assert np.all(np.diff(gaps) < 0), f"gaps not decreasing: {gaps}"
+
+
+def _mean_reference(params, curve, times):
+    """(E[V_t], E[X_{t0,t}]) at each of the sorted ``times`` by a stiff ODE solve.
+
+    Integrates h_n' = E[V] - x_n h_n and I' = E[V] with
+    E[V] = g0(t) - lam * omega . h, restarting at every entry of ``times``
+    so that a kink of g0 placed there is never stepped over.
+    """
+    n, omega = params.n_states, params.omega
+
+    def rhs(t, z):
+        mean_v = float(g0(t, params, curve)) - params.lam * (omega @ z[:n])
+        return np.concatenate((mean_v - params.x * z[:n], [mean_v]))
+
+    jac = np.zeros((n + 1, n + 1))
+    jac[:, :n] = -params.lam * omega
+    jac[:n, :n] -= np.diag(params.x)
+    z, start, out = np.zeros(n + 1), params.t0, []
+    for t in times:
+        sol = solve_ivp(rhs, (start, t), z, method="Radau", rtol=1e-12, atol=1e-20, jac=jac)
+        assert sol.success
+        z, start = sol.y[:, -1], t
+        out.append((float(g0(t, params, curve)) - params.lam * (omega @ z[:n]), z[n]))
+    return np.array(out)
+
+
+def _ladder():
+    return ModelParams.from_hurst(100, 0.05, lam=0.3, nu=0.3, v0=0.02, theta=0.1, rho=-0.7)
+
+
+@pytest.mark.parametrize("name", ["set1", "set2", "set3", "ladder"])
+def test_exact_means_match_stiff_ode_reference(name, curve, request):
+    params = _ladder() if name == "ladder" else request.getfixturevalue(name)
+    times = [1.0 / 78.0, 0.5, 5.0, 40.0]
+    ref = _mean_reference(params, curve, times)
+    ev = expected_variance_curve(times, params, curve)
+    ex = [expected_integrated_variance(t, params, curve) for t in times]
+    assert np.max(np.abs(ev - ref[:, 0]) / ref[:, 0]) < 1e-12
+    assert np.max(np.abs(ex - ref[:, 1]) / ref[:, 1]) < 1e-12
+
+
+def test_exact_means_on_kinked_custom_curve(set1):
+    """A uniform grid never lands on the knot at 0.3, so a solver refining
+    one stalls at first order there; the exact means split at the knots."""
+    kinked = InitialCurve.custom([0.0, 0.3, 0.7, 2.0], [set1.v0, 0.05, 0.03, 0.06])
+    times = [0.1, 0.3, 0.5, 0.7, 0.9, 2.0]
+    ref = _mean_reference(set1, kinked, times)
+    ev = expected_variance_curve(times, set1, kinked)
+    ex = [expected_integrated_variance(t, set1, kinked) for t in times]
+    assert np.max(np.abs(ev - ref[:, 0]) / ref[:, 0]) < 1e-12
+    assert np.max(np.abs(ex - ref[:, 1]) / ref[:, 1]) < 1e-12
+
+
+def test_exact_mean_x_matches_moment_equations(set1, set2, curve):
+    for params in (set1, set2):
+        mean_x, _ = _moments_of_x(params, curve, 1.0)
+        assert expected_integrated_variance(1.0, params, curve) == pytest.approx(mean_x, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", list(CurveKind))
+def test_curve_ode_reproduces_g0(kind, set1):
+    """c0 + c . y, with y carried through each piece's y' = b - d * y in
+    closed form, is g0 at every piece edge; the CUSTOM table has knots
+    inside the interval."""
+    curve = {
+        CurveKind.CUSTOM: InitialCurve.custom([0.0, 0.3, 0.7, 2.0], [set1.v0, 0.05, 0.03, 0.06]),
+        CurveKind.HESTON_LINEAR: InitialCurve.heston_linear(),
+        CurveKind.LIFTED_DEFAULT: InitialCurve.lifted_default(),
+    }[kind]
+    for s, t in ((0.0, 0.25), (0.1, 0.9), (1.2, 2.0)):
+        y, pieces = _curve_ode(set1, curve, s, t)
+        edge = s
+        assert len(pieces) == (3 if kind is CurveKind.CUSTOM and s == 0.1 else 1)
+        for width, c0, c, d, b in pieces:
+            assert c0 + c @ y == pytest.approx(float(g0(edge, set1, curve)), abs=1e-14)
+            decayed = np.where(d > 0, -np.expm1(-d * width) / np.where(d > 0, d, 1.0), width)
+            y = y * np.exp(-d * width) + b * decayed
+            edge += width
+            assert c0 + c @ y == pytest.approx(float(g0(edge, set1, curve)), abs=1e-14)
+        assert edge == pytest.approx(t, abs=1e-15)
 
 
 def test_heston_mean_variance_lam_zero_limit():

@@ -1,0 +1,47 @@
+"""Print the sha256 of every CSV the small CLI byte-check runs write.
+
+    python3 tools/csv_digests.py > digests.txt
+
+Runs the CLI commands and config files recorded in
+``BENCH_cold_start.json`` under ``csv_sha256.small_cli_runs``, from the
+package in this checkout's ``src/``, with one BLAS thread, in a
+temporary directory.  Prints one ``<run>/<file> <sha256>`` line per CSV,
+sorted, so two checkouts compare with ``diff``.  Exits 1 if a command
+fails.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def main() -> int:
+    runs = json.loads((ROOT / "BENCH_cold_start.json").read_text())["csv_sha256"]["small_cli_runs"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **_ONE_THREAD)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, text in runs["config_files"].items():
+            (work / name).write_text(text)
+        for name, command in runs["commands"].items():
+            argv = [sys.executable, "-m", "liftedheston.cli", *shlex.split(command), "--out", name]
+            proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True)
+            if proc.returncode != 0:
+                print(f"{name}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr)
+                return 1
+        for path in sorted(work.glob("*/*.csv")):
+            print(f"{path.relative_to(work).as_posix()} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
