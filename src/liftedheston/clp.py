@@ -24,15 +24,19 @@ than by truncation, which is what keeps large steps honest.
 ``clp_step`` draws first and blocks second.  It takes the step's
 numbers for all paths in the fixed order -- the normals behind the
 inverse Gaussian, then the uniforms, then the price normals -- so the
-stream advances exactly as in one vectorized pass.  It then walks the
-paths in blocks of ``state._BLOCK`` rows, reusing a few (block, N)
-buffers through ``out=`` ufuncs and ``np.matmul(..., out=)`` instead of
-allocating a fresh (paths, N) array per operation.  Each element goes
+stream advances exactly as in one vectorized pass.  It then advances the
+paths in blocks (``state._path_blocks``), which ``state._run_blocks``
+spreads over one thread per usable CPU.  Each thread reuses two
+(block, N) buffers through ``out=`` ufuncs and ``np.matmul(..., out=)``,
+and a block's slice of the new factor array serves as a third, instead
+of allocating a fresh (paths, N) array per operation.  Each element goes
 through the same operations in the same order as in
 ``step_coefficients`` and ``constrain_beta``, whose code the kernel
-shares, and BLAS gives each row the same bits in a block as in the
-whole batch (``state._path_blocks`` says why the block edges matter),
-so the output is bitwise that of the unblocked step.
+shares, BLAS gives each row the same bits in a block as in the whole
+batch, and the diagnostics are reduced in block order, so the output is
+bitwise that of the unblocked step on any number of CPUs.  The block
+body calls only numpy and this package's private helpers, and sets the
+numpy error state it needs itself.
 
 ``simulate_clp`` runs this step over a grid through the driver in
 ``state.py`` that the Euler baseline shares.
@@ -47,7 +51,7 @@ import numpy as np
 from .numerics import StepPrecompute, precompute_step
 from .params import InitialCurve, ModelParams
 from .sampling import RngStream, _inverse_gaussian
-from .state import PathState, SimDiagnostics, SimOutput, _path_blocks, _simulate
+from .state import PathState, SimDiagnostics, SimOutput, _run_blocks, _simulate
 
 __all__ = [
     "ProjectionCoeffs",
@@ -221,31 +225,26 @@ def clp_step(
     whenever the constraint constant c is positive.
 
     The draws of all paths are taken first; the paths are then advanced
-    block by block (see the module docstring).  ``state`` is not
-    modified.
+    block by block, on as many threads as there are usable CPUs (see the
+    module docstring).  ``state`` is not modified.
     """
     n = state.n_paths
     normal = stream.normal(n)
     pick = stream.uniform(n)
     z_price = stream.normal(n)
-    blocks = _path_blocks(n)
-    rows = blocks[-1][1] - blocks[-1][0]
-    alpha_factors, ratio, work = (np.empty((rows, params.n_states)) for _ in range(3))
     u_new = np.empty_like(state.u)
     v_new = np.empty(n)
     log_s_new = np.empty(n)
     x_cum = np.empty(n)
     z_cum = np.empty(n)
     rho = params.rho
-    constrained = degenerate = 0
-    min_beta = min_at_zero = np.inf
-    max_over = -np.inf
-    for lo, hi in blocks:
-        m = hi - lo
+
+    def block(lo, hi, alpha_factors, ratio):
         u = state.u[lo:hi]
-        coeffs = _constrain(
-            _project(u, pre, params, alpha_factors[:m], ratio[:m]), u, pre, params, work[:m], lo
-        )
+        u_blk = u_new[lo:hi]
+        # u_blk is free until the update below, so it holds the constraint's work rows
+        coeffs = _project(u, pre, params, alpha_factors, ratio)
+        coeffs = _constrain(coeffs, u, pre, params, u_blk, lo)
         alpha, beta_c, degen = coeffs.alpha, coeffs.beta_c, coeffs.degenerate
         alpha_pos = np.where(degen, 1.0, alpha)
         gamma = np.square(alpha_pos / beta_c)
@@ -257,10 +256,10 @@ def clp_step(
         )
         incr = x_hat - alpha
         # u - (alpha_factors + ratio * incr) * x - lam x_hat + nu z_state
-        x_hat_factors = np.multiply(coeffs.ratio, incr[:, None], out=work[:m])
+        x_hat_factors = np.multiply(coeffs.ratio, incr[:, None], out=u_blk)
         x_hat_factors += coeffs.alpha_factors
         x_hat_factors *= params.x
-        u_blk = np.subtract(u, x_hat_factors, out=u_new[lo:hi])
+        np.subtract(u, x_hat_factors, out=u_blk)
         u_blk -= (params.lam * x_hat)[:, None]
         u_blk += (params.nu * z_state)[:, None]
         np.matmul(u_blk, params.omega, out=v_new[lo:hi])
@@ -273,22 +272,25 @@ def clp_step(
         )
         np.add(state.x_cum[lo:hi], x_hat, out=x_cum[lo:hi])
         np.add(state.z_cum[lo:hi], z_state, out=z_cum[lo:hi])
-        if diagnostics is not None:
-            live = ~degen
-            constrained += int(np.count_nonzero(coeffs.constrained))
-            degenerate += int(np.count_nonzero(degen))
-            min_beta = min(min_beta, float(np.min(beta_c, initial=np.inf, where=live)))
-            with np.errstate(invalid="ignore"):
-                over = np.max(
-                    beta_c / coeffs.beta_limit - 1.0,
-                    initial=-np.inf,
-                    where=np.isfinite(coeffs.beta_limit) & live,
-                )
-            max_over = max(max_over, float(over))
-            value_at_zero = coeffs.c - params.nu * alpha_pos * params.omega_bar / beta_c
-            min_at_zero = min(
-                min_at_zero, float(np.min(value_at_zero, initial=np.inf, where=live))
+        if diagnostics is None:
+            return None
+        live = ~degen
+        with np.errstate(invalid="ignore"):
+            over = np.max(
+                beta_c / coeffs.beta_limit - 1.0,
+                initial=-np.inf,
+                where=np.isfinite(coeffs.beta_limit) & live,
             )
+        value_at_zero = coeffs.c - params.nu * alpha_pos * params.omega_bar / beta_c
+        return (
+            int(np.count_nonzero(coeffs.constrained)),
+            int(np.count_nonzero(degen)),
+            float(np.min(beta_c, initial=np.inf, where=live)),
+            float(over),
+            float(np.min(value_at_zero, initial=np.inf, where=live)),
+        )
+
+    partials = _run_blocks(n, block, params.n_states, 2)
     v_new += pre.g0_next
     negative = v_new < 0.0
     n_clamped = 0
@@ -302,13 +304,15 @@ def clp_step(
         n_clamped = int(np.count_nonzero(negative))
         v_new[negative] = 0.0
     if diagnostics is not None:
+        # per-block partials in block order, folded as one pass over the blocks would
+        constrained, degenerate, min_beta, max_over, min_at_zero = zip(*partials)
         diagnostics.total_draws += n
-        diagnostics.constrained_draws += constrained
-        diagnostics.degenerate_mean_draws += degenerate
+        diagnostics.constrained_draws += sum(constrained)
+        diagnostics.degenerate_mean_draws += sum(degenerate)
         diagnostics.min_variance = min(diagnostics.min_variance, float(np.min(v_new)))
-        diagnostics.min_beta = min(diagnostics.min_beta, min_beta)
-        diagnostics.max_beta_over_limit = max(diagnostics.max_beta_over_limit, max_over)
-        diagnostics.min_constraint_at_zero = min(diagnostics.min_constraint_at_zero, min_at_zero)
+        diagnostics.min_beta = min(diagnostics.min_beta, *min_beta)
+        diagnostics.max_beta_over_limit = max(diagnostics.max_beta_over_limit, *max_over)
+        diagnostics.min_constraint_at_zero = min(diagnostics.min_constraint_at_zero, *min_at_zero)
         diagnostics.clamped_variance_values += n_clamped
     return PathState(t=pre.t_end, log_s=log_s_new, u=u_new, v=v_new, x_cum=x_cum, z_cum=z_cum)
 

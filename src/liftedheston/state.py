@@ -7,13 +7,26 @@ differ only in how one step advances it, so one driver walks the grid
 for both: it validates the inputs, restarts from a given state, copies
 the state at snapshot times and assembles the output.
 
-The step kernels walk the paths in blocks of ``_BLOCK`` rows so that
-their (rows, N) work arrays stay in cache; ``_path_blocks`` cuts the
-batch the same way for both schemes.
+The step kernels walk the paths in blocks of a few thousand rows so
+that their (rows, N) work arrays stay in cache; ``_path_blocks`` cuts
+the batch for both schemes.  The projection step runs its blocks through
+``_run_blocks``, which spreads them over one thread per usable CPU; the
+Euler step runs its lighter blocks on the calling thread.  A
+step draws all its random numbers before the blocks start and every row
+goes through the same operations wherever its block runs, so the bits
+do not depend on the number of CPUs.
+
+The driver checks every step's state for non-finite values and raises
+``FloatingPointError`` at the first, with numpy's floating-point
+warnings silenced inside the step, so extreme model values end in one
+error instead of warnings and inf/NaN output.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,21 +42,108 @@ __all__ = [
     "variance_se_bootstrap",
 ]
 
-# Paths per block in the step kernels.  A multiple of 4, so every row
-# meets the same BLAS micro-kernel as in one call over the whole batch.
+# Rows per block in the step kernels: at least _BLOCK, unless the batch
+# is smaller, and fewer than 2 * _BLOCK.  Block starts are multiples of
+# 4, so every row meets the same BLAS micro-kernel as in one call over
+# the whole batch.
 _BLOCK = 4096
 
 
-def _path_blocks(n: int):
-    """Row ranges ``(lo, hi)`` covering ``n`` paths in order.
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
-    Blocks hold ``_BLOCK`` rows except the last, which takes the
-    remainder as well, so no block is shorter than ``min(n, _BLOCK)``.
-    A short block would change the bits: a one-row product goes through
-    numpy's matrix-vector path instead of the matrix product.
+
+# Threads that share a projection step's blocks, the calling thread
+# included; the pool holds the others and starts on first use.  A forked
+# child has none of its parent's threads, so it starts its own pool.
+_WORKERS = _usable_cpus()
+_pool: ThreadPoolExecutor | None = None
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _path_blocks(n: int, workers: int = 1):
+    """Row ranges ``(lo, hi)`` covering ``n`` paths in order for ``workers`` threads.
+
+    For one thread, blocks hold ``_BLOCK`` rows and the last takes the
+    remainder as well, which keeps a serial kernel's work arrays in
+    cache.  For several, blocks are about twice as long, so that each
+    block's numpy calls outlast the threads' hand-offs of the interpreter
+    lock.  The block count is then the smallest that keeps every block
+    shorter than ``2 * _BLOCK`` rows, raised to a multiple of
+    ``workers`` when every block still holds ``_BLOCK`` rows, so that
+    each thread gets as many blocks.  The rows are dealt out in groups
+    of 4 as evenly as possible, the later blocks taking the spare groups
+    and the last one also the ``n % 4`` rows left over.
+
+    Either way every start is a multiple of 4, there is one block below
+    ``2 * _BLOCK`` paths, the last block is the longest, and no block is
+    shorter than ``min(n, _BLOCK)``.  A short block would change the
+    bits: a one-row product goes through numpy's matrix-vector path
+    instead of the matrix product.
     """
-    starts = list(range(0, max(n - _BLOCK, 0) + 1, _BLOCK))
-    return list(zip(starts, starts[1:] + [n]))
+    if workers == 1:
+        starts = list(range(0, max(n - _BLOCK, 0) + 1, _BLOCK))
+        return list(zip(starts, starts[1:] + [n]))
+    quads, rest = divmod(n, 4)
+    count = max(-(-quads // (_BLOCK // 2 - 1)), 1)
+    balanced = -(-count // workers) * workers
+    if balanced * _BLOCK <= 4 * quads:
+        count = balanced
+    size, extra = divmod(quads, count)
+    bounds = [0]
+    for i in range(count):
+        bounds.append(bounds[-1] + 4 * (size + (i >= count - extra)))
+    bounds[-1] += rest
+    return list(zip(bounds, bounds[1:]))
+
+
+def _run_blocks(n: int, body, width: int, buffers: int) -> list:
+    """``body(lo, hi, *scratch)`` for each block of ``n`` paths, in block order.
+
+    The blocks are cut for ``_WORKERS`` threads, and each thread, at
+    most one per block, takes an equal run of consecutive blocks.  The
+    calling thread takes the first run itself, so with one CPU or one
+    block no thread starts.  Each run owns ``buffers`` (rows, width)
+    scratch arrays, which ``body`` receives cut to its block's rows, and
+    executes in a copy of the caller's context, numpy's error state
+    included.  Returns the per-block results in block order.  A run
+    stops at its first exception; once every run has ended, the first
+    exception in block order is raised.
+    """
+    global _pool
+    blocks = _path_blocks(n, _WORKERS)
+    workers = min(_WORKERS, len(blocks))
+
+    def run(share):
+        rows = max(hi - lo for lo, hi in share)
+        scratch = [np.empty((rows, width)) for _ in range(buffers)]
+        return [body(lo, hi, *(a[: hi - lo] for a in scratch)) for lo, hi in share]
+
+    if workers == 1:
+        return run(blocks)
+    runs = [blocks[i * len(blocks) // workers:(i + 1) * len(blocks) // workers]
+            for i in range(workers)]
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="liftedheston")
+    futures = [_pool.submit(contextvars.copy_context().run, run, share) for share in runs[1:]]
+    try:
+        results = run(runs[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        results += future.result()
+    return results
 
 
 @dataclass
@@ -189,20 +289,41 @@ def _simulate(
     ever_negative = np.zeros(n_paths, dtype=bool)
     for i in range(grid.size):
         if i > 0:
-            state = step(state, float(grid[i - 1]), float(grid[i]), stream, diagnostics)
+            with np.errstate(all="ignore"):
+                state = step(state, float(grid[i - 1]), float(grid[i]), stream, diagnostics)
+            _check_finite(state)
             ever_negative |= state.v < 0.0
         for t_snap in snapshot_times:
             if abs(grid[i] - t_snap) <= 1e-12:
                 snapshots[t_snap] = state.copy()
     diagnostics.negative_variance_paths = int(np.count_nonzero(ever_negative))
+    with np.errstate(over="ignore"):
+        s = np.exp(state.log_s)
+    if not np.all(np.isfinite(s)):
+        raise FloatingPointError(f"price overflow at t={state.t:.6g}: model values too large")
     return SimOutput(
-        s=np.exp(state.log_s),
+        s=s,
         v=state.v,
         x=state.x_cum,
         z=state.z_cum,
         diagnostics=diagnostics,
         snapshots=snapshots,
     )
+
+
+def _check_finite(state: PathState) -> None:
+    """Raise ``FloatingPointError`` if a path left the finite numbers.
+
+    The factors are covered by the variance, which both steps compute
+    as omega . u + g0: an infinite or NaN factor makes it non-finite
+    (inf * 0 is NaN).
+    """
+    for name, what in (("log_s", "log price"), ("v", "variance"),
+                       ("x_cum", "integrated variance"), ("z_cum", "driver integral")):
+        if not np.all(np.isfinite(getattr(state, name))):
+            raise FloatingPointError(
+                f"non-finite {what} at t={state.t:.6g}: model values too large"
+            )
 
 
 def mean_se(samples: np.ndarray) -> tuple[float, float]:

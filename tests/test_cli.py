@@ -3,6 +3,7 @@
 import ast
 import csv
 import io
+import os
 import re
 import subprocess
 import sys
@@ -272,22 +273,54 @@ def test_non_finite_and_fractional_input_exit_2_with_one_line(tmp_path, child_en
 
 
 # finite but extreme: the first two used to exit 0 after expm overflow
-# warnings with all-NaN CSVs, the last with a 7 TiB allocation traceback
-@pytest.mark.parametrize("config, message", [
-    ("nu = 1e300\n", "step moments overflow: model values too large"),
-    ("v0 = 1e300\ntheta = 1e300\n", "step moments overflow: model values too large"),
-    ("n_states = 1e6\n", "n_states must be <= 1000"),
+# warnings with all-NaN CSVs, the third with a 7 TiB allocation
+# traceback, the Euler run after overflow warnings with inf and NaN in
+# summary.csv, and vix after an overflow warning in the price
+SIMULATE = ["simulate", "--paths", "10", "--steps", "2"]
+
+
+@pytest.mark.parametrize("config, message, command", [
+    ("nu = 1e300\n", "step moments overflow: model values too large", SIMULATE),
+    ("v0 = 1e300\ntheta = 1e300\n", "step moments overflow: model values too large", SIMULATE),
+    ("n_states = 1e6\n", "n_states must be <= 1000", SIMULATE),
+    ("scheme = euler\nnu = 1e300\n", "non-finite variance at t=1: model values too large",
+     SIMULATE),
+    ("rate = 1e300\n", "price overflow at t=1.08333: model values too large",
+     ["vix", "--paths", "100", "--steps", "13"]),
 ])
-def test_extreme_model_values_exit_2_with_one_line(tmp_path, child_env, config, message):
+def test_extreme_model_values_exit_2_with_one_line(tmp_path, child_env, config, message,
+                                                   command):
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text("preset = set1\n" + config)
     proc = subprocess.run(
-        [sys.executable, "-m", "liftedheston.cli", "simulate", "--config", str(cfg),
-         "--paths", "10", "--steps", "2", "--out", str(tmp_path / "out")],
+        [sys.executable, "-m", "liftedheston.cli", *command, "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
         env=child_env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs CPU affinity control and at least 2 usable CPUs",
+)
+def test_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, child_env):
+    """Multi-block runs give the same CSV bytes on one CPU as on all of
+    them.  Only the child processes are pinned, and both runs use one
+    BLAS thread, so the C-LP step's worker count is what differs."""
+    one_cpu = min(os.sched_getaffinity(0))
+    env = dict(child_env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    for args in (["simulate", "--preset", "set3", "--paths", "20011", "--steps", "3"],
+                 ["vix", "--preset", "set1", "--steps", "13", "--paths", "20011"]):
+        outputs = []
+        for pin in (lambda: os.sched_setaffinity(0, {one_cpu}), None):
+            out = tmp_path / f"{args[0]}-{len(outputs)}"
+            subprocess.run([sys.executable, "-m", "liftedheston.cli", *args, "--out", str(out)],
+                           env=env, preexec_fn=pin, check=True, capture_output=True,
+                           timeout=600)
+            outputs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+        assert outputs[0] and outputs[0] == outputs[1], args[0]
 
 
 def test_converge_benchmark_reuse_gives_zero_error_rows(tmp_path):

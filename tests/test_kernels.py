@@ -1,13 +1,19 @@
 """Blocked step kernels against unblocked whole-batch reference steps.
 
-``clp_step`` and ``euler_step`` walk the paths in blocks of
-``state._BLOCK`` rows.  The references below advance the whole batch in
-one vectorized pass, from the public ``step_coefficients``,
+``clp_step`` and ``euler_step`` walk the paths in blocks from
+``state._path_blocks``, and ``clp_step`` spreads its blocks over
+``state._WORKERS`` threads.  The references below advance the whole
+batch in one vectorized pass, from the public ``step_coefficients``,
 ``constrain_beta``, ``sample_inverse_gaussian`` and ``correlated_pair``;
-they are the oracle, and the kernels must match them bit for bit.
+they are the oracle, and the kernels must match them bit for bit with
+one, two or three workers.  The first block and the last hold at least
+``_BLOCK`` rows, so rows below ``_BLOCK`` fall in the first worker's
+share and rows from ``n - _BLOCK`` on in the last worker's.
 """
 
 import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -27,11 +33,17 @@ from liftedheston import (
     simulate_clp,
     step_coefficients,
 )
-from liftedheston import clp
-from liftedheston.state import _BLOCK
+from liftedheston import clp, state as state_module
+from liftedheston.state import _BLOCK, _path_blocks
 from test_clp import degenerate_state
 
-SIZES = (1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 37)
+# Two blocks per worker at 1, 2 and 3 workers, and a 3-row tail.  The
+# whole-batch reference is exact only where OpenBLAS's own split of its
+# rows between BLAS threads falls on a multiple of 4; with two BLAS
+# threads this size's does, 7 * _BLOCK + 3 does not.
+MANY = 7 * _BLOCK + 39
+SIZES = (1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 37, MANY)
+WORKERS = (1, 2, 3)
 FIELDS = ("log_s", "u", "v", "x_cum", "z_cum")
 
 
@@ -157,31 +169,39 @@ def state_from_rows(u, t, v):
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("which", ["set1", "set3"])
-def test_clp_step_matches_unblocked_reference(request, curve, which, n):
+def test_clp_step_matches_unblocked_reference(request, monkeypatch, curve, which, n):
     params = request.getfixturevalue(which)
     state = interior_state(params, curve, n, seed=n)
     for t_next in (1.0 + 1.0 / 78, 1.5):
         pre = precompute_step(params, curve, 1.0, t_next)
-        diag, diag_ref = SimDiagnostics(), SimDiagnostics()
-        got = clp_step(state, pre, params, RngStream(9, stream_id=n), diag)
+        diag_ref = SimDiagnostics()
         want = reference_clp_step(state, pre, params, RngStream(9, stream_id=n), diag_ref)
-        assert_same_step(got, want, diag, diag_ref)
+        for workers in WORKERS:
+            monkeypatch.setattr(state_module, "_WORKERS", workers)
+            diag = SimDiagnostics()
+            got = clp_step(state, pre, params, RngStream(9, stream_id=n), diag)
+            assert_same_step(got, want, diag, diag_ref)
 
 
-def test_clp_step_degenerate_paths_in_last_block(set3, curve):
+def test_clp_step_degenerate_paths_in_last_block(set3, curve, monkeypatch):
+    """Degenerate rows in the last block and in the first, so in the
+    first worker's share and in the last worker's."""
     pre = precompute_step(set3, curve, 0.0, 2.15)
     u_bad, _, _ = degenerate_state(set3, pre)
-    n = 2 * _BLOCK + 37
+    n = MANY
     u = np.zeros((n, set3.n_states))
-    rows = n - np.array([1, 5, 30])
+    rows = np.array([3, _BLOCK - 2, n - 30, n - 5, n - 1])
     u[rows] = u_bad
     state = state_from_rows(u, 0.0, u @ set3.omega + set3.v0)
-    diag, diag_ref = SimDiagnostics(), SimDiagnostics()
-    got = clp_step(state, pre, set3, RngStream(12), diag)
+    diag_ref = SimDiagnostics()
     want = reference_clp_step(state, pre, set3, RngStream(12), diag_ref)
-    assert_same_step(got, want, diag, diag_ref)
-    assert diag.degenerate_mean_draws == rows.size
-    assert np.all(got.x_cum[rows] == state.x_cum[rows])
+    assert diag_ref.degenerate_mean_draws == rows.size
+    assert np.all(want.x_cum[rows] == state.x_cum[rows])
+    for workers in WORKERS:
+        monkeypatch.setattr(state_module, "_WORKERS", workers)
+        diag = SimDiagnostics()
+        got = clp_step(state, pre, set3, RngStream(12), diag)
+        assert_same_step(got, want, diag, diag_ref)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -217,16 +237,26 @@ def bad_constant_row(params, pre):
     raise AssertionError("no row with a nonpositive constraint constant found")
 
 
-def test_constraint_error_names_first_bad_path_globally(set3, curve):
+def test_constraint_error_names_first_bad_path_globally(set3, curve, monkeypatch):
+    """Bad rows in the first, the middle and the last of three workers'
+    shares: the error names the first bad path, whichever worker meets
+    its bad row first."""
     pre = precompute_step(set3, curve, 0.0, 2.15)
-    n = 2 * _BLOCK + 37
-    u = np.zeros((n, set3.n_states))
-    u[[_BLOCK + 17, 2 * _BLOCK + 3]] = bad_constant_row(set3, pre)
-    state = state_from_rows(u, 0.0, u @ set3.omega + set3.v0)
-    with pytest.raises(FloatingPointError, match=rf"\(path {_BLOCK + 17}, c="):
-        clp_step(state, pre, set3, RngStream(3))
-    with pytest.raises(FloatingPointError, match=rf"\(path {_BLOCK + 17}, c="):
-        constrain_beta(step_coefficients(state, pre, set3), state, pre, set3)
+    n = MANY
+    rows = (_BLOCK - 17, n // 2, n - 3)
+    blocks = _path_blocks(n, 3)
+    assert len(blocks) == 6 and blocks[2][0] <= rows[1] < blocks[3][1]
+    u_bad = bad_constant_row(set3, pre)
+    for k, first in enumerate(rows):
+        u = np.zeros((n, set3.n_states))
+        u[list(rows[k:])] = u_bad
+        state = state_from_rows(u, 0.0, u @ set3.omega + set3.v0)
+        with pytest.raises(FloatingPointError, match=rf"\(path {first}, c="):
+            constrain_beta(step_coefficients(state, pre, set3), state, pre, set3)
+        for workers in WORKERS:
+            monkeypatch.setattr(state_module, "_WORKERS", workers)
+            with pytest.raises(FloatingPointError, match=rf"\(path {first}, c="):
+                clp_step(state, pre, set3, RngStream(3))
 
 
 def test_roundoff_error_reports_global_minimum(set1, curve, monkeypatch):
@@ -240,18 +270,28 @@ def test_roundoff_error_reports_global_minimum(set1, curve, monkeypatch):
         out.beta_c = out.beta_c * np.where(rows < _BLOCK, 5.0, 100.0)
         return out
 
-    state = interior_state(set1, curve, 2 * _BLOCK + 37, seed=5)
+    n = MANY
+    state = interior_state(set1, curve, n, seed=5)
     pre = precompute_step(set1, curve, 1.0, 1.5)
     monkeypatch.setattr(clp, "_constrain", too_steep)
     with pytest.raises(FloatingPointError) as want:
         reference_clp_step(state, pre, set1, RngStream(6))
-    with pytest.raises(FloatingPointError) as got:
-        clp_step(state, pre, set1, RngStream(6))
-    assert str(got.value) == str(want.value)
-    # with the floor lifted, paths clamp in the first block and after it
+    for workers in WORKERS:
+        monkeypatch.setattr(state_module, "_WORKERS", workers)
+        with pytest.raises(FloatingPointError) as got:
+            clp_step(state, pre, set1, RngStream(6))
+        assert str(got.value) == str(want.value)
+    # with the floor lifted, paths clamp in the first and the last
+    # worker's share, and the clamp counts agree with the reference
     monkeypatch.setattr(clp, "_V_ROUNDOFF", np.inf)
-    clamped = np.flatnonzero(clp_step(state, pre, set1, RngStream(6)).v == 0.0)
-    assert clamped.min() < _BLOCK <= clamped.max()
+    diag_ref = SimDiagnostics()
+    ref = reference_clp_step(state, pre, set1, RngStream(6), diag_ref)
+    clamped = np.flatnonzero(ref.v == 0.0)
+    assert clamped.min() < _BLOCK and clamped.max() >= n - _BLOCK
+    for workers in WORKERS:
+        monkeypatch.setattr(state_module, "_WORKERS", workers)
+        diag = SimDiagnostics()
+        assert_same_step(clp_step(state, pre, set1, RngStream(6), diag), ref, diag, diag_ref)
 
 
 def test_steps_leave_the_input_state_untouched(set1, set2, curve):
@@ -267,3 +307,16 @@ def test_steps_leave_the_input_state_untouched(set1, set2, curve):
         assert got.t == want.t
         for name in FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+def test_clp_step_runs_in_a_forked_child(set1, curve, monkeypatch):
+    """A child forked after the worker threads started gets its own."""
+    monkeypatch.setattr(state_module, "_WORKERS", 2)
+    state = interior_state(set1, curve, MANY, seed=3)
+    pre = precompute_step(set1, curve, 1.0, 1.5)
+    want = clp_step(state, pre, set1, RngStream(4))
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply_async(clp_step, (state, pre, set1, RngStream(4))).get(timeout=120)
+    for name in FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name

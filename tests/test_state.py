@@ -12,6 +12,7 @@ from liftedheston import (
     simulate_euler,
     variance_se_bootstrap,
 )
+from liftedheston.state import _BLOCK, _path_blocks
 
 
 def test_initial_state_layout(set1):
@@ -81,3 +82,34 @@ def test_restart_from_snapshot_is_bitwise(set1, curve, simulate):
     for name in ("s", "v", "x", "z"):
         assert np.array_equal(getattr(leg2, name), getattr(full, name)), name
     assert np.array_equal(snap.x_cum, leg1.x), "restarting must not touch the snapshot"
+
+
+def _layout_sizes():
+    """Path counts from 1 to 1e8: small ones, the edges around multiples
+    of 1,024 and of 8,188 (where the block count steps up), a seeded
+    sample, and the stretch near 1.7e7 where a ceiling-sized layout
+    leaves its last block empty."""
+    edges = {k * m + d for m in (1024, 8188) for k in range(1, 200) for d in range(-5, 6)}
+    sample = np.random.default_rng(0).integers(1, 10**8, size=300, endpoint=True)
+    near = range(16_998_400 - 40, 17_000_000 + 40, 7)
+    return sorted(set(range(1, 101)) | edges | set(sample.tolist()) | set(near) | {10**8})
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 64])
+def test_path_blocks_layout(workers):
+    for n in _layout_sizes():
+        blocks = _path_blocks(n, workers)
+        starts = [lo for lo, _ in blocks]
+        sizes = [hi - lo for lo, hi in blocks]
+        assert starts[0] == 0 and blocks[-1][1] == n, n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:])), n
+        assert all(lo % 4 == 0 for lo in starts), n
+        assert min(sizes) >= min(n, _BLOCK), n
+        assert max(sizes) < 2 * _BLOCK, n
+        # the Euler step sizes its one buffer by the last block
+        assert sizes[-1] == max(sizes), n
+        if n < 2 * _BLOCK:
+            assert len(blocks) == 1, n
+        if len(blocks) * _BLOCK <= n - workers * _BLOCK:
+            # room for another round of blocks, so each worker got as many
+            assert len(blocks) % workers == 0, n

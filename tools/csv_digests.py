@@ -1,13 +1,13 @@
-"""Print the sha256 of every CSV the small CLI byte-check runs write.
+"""Print the sha256 of every CSV the CLI byte-check runs write.
 
     python3 tools/csv_digests.py > digests.txt
 
-Runs the CLI commands and config files recorded in
-``BENCH_cold_start.json`` under ``csv_sha256.small_cli_runs``, from the
-package in this checkout's ``src/``, with one BLAS thread, in a
-temporary directory.  Prints one ``<run>/<file> <sha256>`` line per CSV,
-sorted, so two checkouts compare with ``diff``.  Exits 1 if a command
-fails.
+Runs the small CLI commands and config files recorded in
+``BENCH_cold_start.json`` under ``csv_sha256.small_cli_runs``, and the
+multi-block runs below, from the package in this checkout's ``src/``,
+with one BLAS thread, in a temporary directory.  Prints one
+``<run>/<file> <sha256>`` line per CSV, sorted, so two checkouts compare
+with ``diff``.  Exits 1 if a command fails.
 """
 
 from __future__ import annotations
@@ -24,6 +24,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 _ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
+# Path counts that cut the step kernels into several blocks with uneven
+# tails, so the bytes cover the block layout and the threads that share
+# the blocks; the small runs above fit in one or two blocks.
+MULTI_BLOCK_RUNS = {
+    "multi_clp_set1": "simulate --preset set1 --paths 50021 --steps 5",
+    "multi_euler_set3": "simulate --preset set3 --scheme euler --paths 20011 --steps 3",
+    "multi_vix_set3": "vix --preset set3 --paths 20011 --steps 13",
+}
+
 
 def main() -> int:
     runs = json.loads((ROOT / "BENCH_cold_start.json").read_text())["csv_sha256"]["small_cli_runs"]
@@ -32,7 +41,7 @@ def main() -> int:
         work = Path(tmp)
         for name, text in runs["config_files"].items():
             (work / name).write_text(text)
-        for name, command in runs["commands"].items():
+        for name, command in {**runs["commands"], **MULTI_BLOCK_RUNS}.items():
             argv = [sys.executable, "-m", "liftedheston.cli", *shlex.split(command), "--out", name]
             proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True)
             if proc.returncode != 0:
