@@ -12,23 +12,18 @@ from .clp import ProjectionCoeffs, clp_step, constrain_beta, simulate_clp, step_
 from .euler import VarianceFix, euler_step, simulate_euler
 from .numerics import StepPrecompute, build_drift_matrix, e_matrix_integral, phi1, precompute_step
 from .params import (
-    CurveKind,
     InitialCurve,
     ModelParams,
     expected_integrated_variance,
-    expected_variance_curve,
     g0,
     g0_derivative,
     g0_integral,
-    heston_mean_integrated_variance,
-    heston_mean_variance,
     hurst_parametrization,
 )
 from .pricing import (
     PriceQuote,
     VixSpec,
     black76_price,
-    heston_vix_squared,
     implied_vol_black,
     price_european,
     vix_from_state,
@@ -39,7 +34,6 @@ from .state import PathState, SimDiagnostics, SimOutput, mean_se, variance_se_bo
 __version__ = "0.1.0"
 
 __all__ = [
-    "CurveKind",
     "InitialCurve",
     "ModelParams",
     "PathState",
@@ -59,13 +53,9 @@ __all__ = [
     "e_matrix_integral",
     "euler_step",
     "expected_integrated_variance",
-    "expected_variance_curve",
     "g0",
     "g0_derivative",
     "g0_integral",
-    "heston_mean_integrated_variance",
-    "heston_mean_variance",
-    "heston_vix_squared",
     "hurst_parametrization",
     "implied_vol_black",
     "mean_se",

@@ -33,7 +33,6 @@ means are phi1 U_s + xi and E_s[X_{s,t} Z_{s,t}] = omega . (chi U_s + psi).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,15 +105,14 @@ def _generator(params: ModelParams, c0: float, c: np.ndarray, decay: np.ndarray,
 def _step_moments(params: ModelParams, curve: InitialCurve, s: float, t: float):
     """(phi1, chi, xi, psi) over [s, t] from the exponential of the step generator.
 
-    A CUSTOM curve is split at its knots (``params._curve_ode``) and the
-    piece exponentials are multiplied in time order.  Raises ValueError
-    when the exponential overflows, as it does for extreme model values.
+    The curve state and its coefficients come from ``params._curve_ode``.
+    Raises ValueError when the exponential overflows, as it does for
+    extreme model values.
     """
     n = params.n_states
-    y_s, pieces = _curve_ode(params, curve, s, t)
+    y_s, c0, c, d, b = _curve_ode(params, curve, s)
     with np.errstate(over="ignore", invalid="ignore"):
-        exps = (expm(_generator(params, c0, c, d, b) * w) for w, c0, c, d, b in pieces)
-        expo = functools.reduce(lambda acc, e: e @ acc, exps)
+        expo = expm(_generator(params, c0, c, d, b) * (t - s))
     if not np.all(np.isfinite(expo)):
         raise ValueError("step moments overflow: model values too large")
     z0 = np.concatenate((y_s, [1.0]))

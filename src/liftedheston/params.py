@@ -15,10 +15,10 @@ variance ``theta`` and vol-of-vol ``nu``.
 This module owns the parameter container, the initial variance curve
 g0, its running integral and its description as the output of a linear
 ODE (``_curve_ode``, shared with the step moments of ``numerics``), and
-the exact mean curves E[V_t] and E[X_{t0,t}].  The means come from the
-exponential of a small generator of their own (the model is affine, so
-its first moments solve a linear ODE), which keeps them an independent
-reference for the simulation schemes.
+the exact mean E[X_{t0,t}].  The mean comes from one matrix exponential
+of a small generator of its own (the model is affine, so its first
+moments solve a linear ODE), which keeps it an independent reference for
+the simulation schemes.
 """
 
 from __future__ import annotations
@@ -26,39 +26,26 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import gamma as gamma_fn
 
 __all__ = [
-    "CurveKind",
     "InitialCurve",
     "ModelParams",
     "hurst_parametrization",
     "g0",
     "g0_derivative",
     "g0_integral",
-    "expected_variance_curve",
     "expected_integrated_variance",
-    "heston_mean_variance",
-    "heston_mean_integrated_variance",
 ]
 
 _MAX_STATES = 1000
 
 
-class CurveKind(enum.Enum):
-    """Supported shapes of the initial variance curve g0."""
-
-    LIFTED_DEFAULT = "lifted-default"
-    HESTON_LINEAR = "heston-linear"
-    CUSTOM = "custom"
-
-
-@dataclass(frozen=True)
-class InitialCurve:
+class InitialCurve(enum.Enum):
     """Initial variance curve g0.
 
     ``LIFTED_DEFAULT`` is the curve implied by starting the factors at
@@ -69,42 +56,18 @@ class InitialCurve:
     with the x_n = 0 term replaced by its limit lam * theta * omega_n * (t - t0).
     ``HESTON_LINEAR`` is g0(t) = V0 + lam * theta * (t - t0), the curve
     under which the one-factor model collapses to classical Heston.
-    ``CUSTOM`` interpolates a tabulated curve linearly; the table must
-    start at t0 with value V0 and stay nonnegative.
     """
 
-    kind: CurveKind = CurveKind.LIFTED_DEFAULT
-    times: np.ndarray | None = None
-    values: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind is CurveKind.CUSTOM:
-            if self.times is None or self.values is None:
-                raise ValueError("custom curve requires times and values")
-            t = np.asarray(self.times, dtype=float)
-            v = np.asarray(self.values, dtype=float)
-            if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-                raise ValueError("curve table must be two 1-d arrays of equal length >= 2")
-            if np.any(np.diff(t) <= 0):
-                raise ValueError("curve times must be strictly increasing")
-            if np.any(v < 0):
-                raise ValueError("curve values must be nonnegative")
-            object.__setattr__(self, "times", t)
-            object.__setattr__(self, "values", v)
-        elif self.times is not None or self.values is not None:
-            raise ValueError("tabulated data only applies to CUSTOM curves")
+    LIFTED_DEFAULT = "lifted-default"
+    HESTON_LINEAR = "heston-linear"
 
     @classmethod
     def lifted_default(cls) -> "InitialCurve":
-        return cls(CurveKind.LIFTED_DEFAULT)
+        return cls.LIFTED_DEFAULT
 
     @classmethod
     def heston_linear(cls) -> "InitialCurve":
-        return cls(CurveKind.HESTON_LINEAR)
-
-    @classmethod
-    def custom(cls, times, values) -> "InitialCurve":
-        return cls(CurveKind.CUSTOM, np.asarray(times, float), np.asarray(values, float))
+        return cls.HESTON_LINEAR
 
 
 @dataclass(frozen=True)
@@ -235,14 +198,6 @@ def hurst_parametrization(n_states: int, hurst: float) -> tuple[np.ndarray, np.n
     return omega, x
 
 
-def _custom_value(curve: InitialCurve, t):
-    t = np.asarray(t, dtype=float)
-    times, values = curve.times, curve.values
-    if np.any(t < times[0] - 1e-12) or np.any(t > times[-1] + 1e-12):
-        raise ValueError("time outside the tabulated curve range")
-    return np.interp(t, times, values)
-
-
 def g0(t, params: ModelParams, curve: InitialCurve):
     """Initial variance curve evaluated at ``t`` (scalar or array)."""
     t = np.asarray(t, dtype=float)
@@ -250,10 +205,8 @@ def g0(t, params: ModelParams, curve: InitialCurve):
     if np.any(tau < -1e-12):
         raise ValueError("g0 evaluated before t0")
     tau = np.maximum(tau, 0.0)
-    if curve.kind is CurveKind.HESTON_LINEAR:
+    if curve is InitialCurve.HESTON_LINEAR:
         out = params.v0 + params.lam * params.theta * tau
-    elif curve.kind is CurveKind.CUSTOM:
-        out = _custom_value(curve, t)
     else:
         x = params.x
         pos = x > 0.0
@@ -268,34 +221,19 @@ def g0(t, params: ModelParams, curve: InitialCurve):
 
 
 def g0_derivative(t, params: ModelParams, curve: InitialCurve):
-    """Right derivative dg0/dt at ``t``."""
+    """Derivative dg0/dt at ``t``."""
     t = np.asarray(t, dtype=float)
     tau = np.maximum(t - params.t0, 0.0)
-    if curve.kind is CurveKind.HESTON_LINEAR:
+    if curve is InitialCurve.HESTON_LINEAR:
         out = params.lam * params.theta * np.ones_like(tau)
-    elif curve.kind is CurveKind.CUSTOM:
-        times, values = curve.times, curve.values
-        slopes = np.diff(values) / np.diff(times)
-        idx = np.clip(np.searchsorted(times, t, side="right") - 1, 0, slopes.size - 1)
-        out = slopes[idx]
     else:
         decay = np.exp(-np.multiply.outer(params.x, tau))
         out = params.lam * params.theta * np.tensordot(params.omega, decay, axes=(0, 0))
     return float(out) if out.ndim == 0 else out
 
 
-def _custom_integral(curve: InitialCurve, s: float, t: float) -> float:
-    # linear interpolation integrates exactly by the trapezoid rule on the
-    # knots falling inside [s, t] plus the two boundary values
-    times, _ = curve.times, curve.values
-    inner = times[(times > s) & (times < t)]
-    grid = np.concatenate(([s], inner, [t]))
-    vals = _custom_value(curve, grid)
-    return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)))
-
-
 def g0_integral(s: float, t: float, params: ModelParams, curve: InitialCurve) -> float:
-    """Integral of g0 over [s, t] (closed form where available)."""
+    """Integral of g0 over [s, t] in closed form."""
     if t < s:
         raise ValueError("need s <= t")
     if s < params.t0 - 1e-12:
@@ -303,10 +241,8 @@ def g0_integral(s: float, t: float, params: ModelParams, curve: InitialCurve) ->
     if t == s:
         return 0.0
     ts, tt = s - params.t0, t - params.t0
-    if curve.kind is CurveKind.HESTON_LINEAR:
+    if curve is InitialCurve.HESTON_LINEAR:
         return params.v0 * (t - s) + 0.5 * params.lam * params.theta * (tt**2 - ts**2)
-    if curve.kind is CurveKind.CUSTOM:
-        return _custom_integral(curve, s, t)
     x, omega = params.x, params.omega
     total = params.v0 * (t - s)
     pos = x > 0.0
@@ -320,30 +256,21 @@ def g0_integral(s: float, t: float, params: ModelParams, curve: InitialCurve) ->
     return total
 
 
-def _curve_ode(params: ModelParams, curve: InitialCurve, s: float, t: float):
-    """g0 on [s, t] as the output of a linear ODE, in linear pieces.
+def _curve_ode(params: ModelParams, curve: InitialCurve, s: float):
+    """g0 from time ``s`` on as the output of a linear ODE.
 
-    Returns y(s) and a list of pieces (width, c0, c, d, b), in time order,
-    on each of which g0 = c0 + c . y with y' = b - d * y.  A CUSTOM curve
-    is split at its knots inside (s, t); on each piece y is g0 itself and
-    b the piece's slope.  The other kinds are one piece: HESTON_LINEAR has
-    y = t - t0, LIFTED_DEFAULT y_n = (1 - exp(-x_n (t - t0))) / x_n.
+    Returns (y(s), c0, c, d, b) such that g0 = c0 + c . y with
+    y' = b - d * y.  HESTON_LINEAR has y = t - t0, LIFTED_DEFAULT
+    y_n = (1 - exp(-x_n (t - t0))) / x_n.
     """
-    if curve.kind is CurveKind.CUSTOM:
-        knots = curve.times[(curve.times > s) & (curve.times < t)]
-        edges = np.concatenate(([s], knots, [t]))
-        values = g0(edges, params, curve)
-        widths = np.diff(edges)
-        return values[:1], [(w, 0.0, np.ones(1), np.zeros(1), b)
-                            for w, b in zip(widths, np.diff(values) / widths)]
     tau = s - params.t0
     coef = params.lam * params.theta
-    if curve.kind is CurveKind.HESTON_LINEAR:
-        return np.array([tau]), [(t - s, params.v0, np.array([coef]), np.zeros(1), 1.0)]
+    if curve is InitialCurve.HESTON_LINEAR:
+        return np.array([tau]), params.v0, np.array([coef]), np.zeros(1), 1.0
     # the x_n = 0 limit of y_n is tau
     x = params.x
     y_s = np.where(x > 0.0, -np.expm1(-x * tau) / np.where(x > 0.0, x, 1.0), tau)
-    return y_s, [(t - s, params.v0, coef * params.omega, x, 1.0)]
+    return y_s, params.v0, coef * params.omega, x, 1.0
 
 
 def _mean_moments(params: ModelParams, curve: InitialCurve, t: float) -> tuple[float, float]:
@@ -355,33 +282,23 @@ def _mean_moments(params: ModelParams, curve: InitialCurve, t: float) -> tuple[f
 
         h' = E[V] - x * h,    I' = E[V],    E[V] = c0 + c . y - lam * omega . h,
 
-    on each piece of ``_curve_ode``, started from [0, 0, y(t0), 1].
+    with y the curve state of ``_curve_ode``, started from [0, 0, y(t0), 1].
     """
     if t == params.t0:
         return float(g0(t, params, curve)), 0.0
     n = params.n_states
-    y, pieces = _curve_ode(params, curve, params.t0, t)
+    y, c0, c, d, b = _curve_ode(params, curve, params.t0)
     z = np.concatenate((np.zeros(n + 1), y, [1.0]))
-    for width, c0, c, d, b in pieces:
-        gen = np.zeros((z.size, z.size))
-        # row I is E[V]; each row h_n is E[V] - x_n h_n
-        gen[n, :n], gen[n, n + 1 : -1], gen[n, -1] = -params.lam * params.omega, c, c0
-        gen[:n] = gen[n]
-        gen[:n, :n] -= np.diag(params.x)
-        gen[n + 1 : -1, n + 1 : -1] = -np.diag(d)
-        gen[n + 1 : -1, -1] = b
-        z = expm(gen * width) @ z
+    gen = np.zeros((z.size, z.size))
+    # row I is E[V]; each row h_n is E[V] - x_n h_n
+    gen[n, :n], gen[n, n + 1 : -1], gen[n, -1] = -params.lam * params.omega, c, c0
+    gen[:n] = gen[n]
+    gen[:n, :n] -= np.diag(params.x)
+    gen[n + 1 : -1, n + 1 : -1] = -np.diag(d)
+    gen[n + 1 : -1, -1] = b
+    z = expm(gen * (t - params.t0)) @ z
     mean_v = float(g0(t, params, curve)) - params.lam * float(params.omega @ z[:n])
     return mean_v, float(z[n])
-
-
-def expected_variance_curve(grid, params: ModelParams, curve: InitialCurve) -> np.ndarray:
-    """E[V_t] at each point of ``grid``, exact up to rounding."""
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if np.any(grid < params.t0 - 1e-12):
-        raise ValueError("grid precedes t0")
-    means = [_mean_moments(params, curve, max(float(t), params.t0))[0] for t in grid.ravel()]
-    return np.reshape(means, grid.shape)
 
 
 def expected_integrated_variance(t_end: float, params: ModelParams, curve: InitialCurve) -> float:
@@ -389,19 +306,3 @@ def expected_integrated_variance(t_end: float, params: ModelParams, curve: Initi
     if t_end < params.t0:
         raise ValueError("t_end precedes t0")
     return _mean_moments(params, curve, float(t_end))[1]
-
-
-def heston_mean_variance(t: float, lam: float, theta: float, v0: float) -> float:
-    """Classical Heston E[V_t] = (v0 - theta) exp(-lam t) + theta."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return (v0 - theta) * math.exp(-lam * t) + theta
-
-
-def heston_mean_integrated_variance(t: float, lam: float, theta: float, v0: float) -> float:
-    """Classical Heston E[X_{0,t}]; the lam -> 0 limit is v0 * t."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if lam == 0.0:
-        return v0 * t
-    return -(v0 - theta) * math.exp(-lam * t) / lam + theta * t + (v0 - theta) / lam

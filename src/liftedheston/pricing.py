@@ -28,7 +28,6 @@ __all__ = [
     "VixSpec",
     "PriceQuote",
     "vix_from_state",
-    "heston_vix_squared",
     "price_european",
     "black76_price",
     "implied_vol_black",
@@ -79,23 +78,6 @@ def vix_from_state(
     clamped = int(np.count_nonzero(cond_mean < 0.0))
     cond_mean = np.maximum(cond_mean, 0.0)
     return np.sqrt(cond_mean / horizon), clamped
-
-
-def heston_vix_squared(v_t, lam: float, theta: float, horizon: float):
-    """Classical Heston squared VIX from the spot variance.
-
-    VIX^2 = (V_T - theta) (1 - exp(-lam Theta)) / (lam Theta) + theta,
-    with the lam -> 0 limit V_T.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    v_t = np.asarray(v_t, dtype=float)
-    if lam == 0.0:
-        out = v_t.copy()
-    else:
-        weight = -math.expm1(-lam * horizon) / (lam * horizon)
-        out = (v_t - theta) * weight + theta
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

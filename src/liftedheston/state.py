@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import g0
 from .sampling import RngStream
 
 __all__ = [
@@ -247,7 +246,7 @@ class SimOutput:
 
 
 def _simulate(
-    step, scheme: str, params, curve, grid, n_paths: int, seed, snapshot_times=(), initial=None
+    step, scheme: str, params, grid, n_paths: int, seed, snapshot_times=(), initial=None
 ) -> SimOutput:
     """Advance all paths over the grid with ``step``; see ``simulate_clp``.
 
@@ -261,11 +260,6 @@ def _simulate(
         raise ValueError("grid must be one-dimensional with at least two times")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    v_at_t0 = float(g0(params.t0, params, curve))
-    if abs(v_at_t0 - params.v0) > 1e-10:
-        raise ValueError(
-            f"initial curve value {v_at_t0:.6g} at t0 does not match v0={params.v0:.6g}"
-        )
     if initial is None:
         if abs(grid[0] - params.t0) > 1e-12:
             raise ValueError("grid must start at t0")

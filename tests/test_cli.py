@@ -467,3 +467,16 @@ def test_package_imports_only_at_module_level():
                 nested += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                            if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not nested
+
+
+def test_package_exports_are_the_layer_exports():
+    """The benchmark's trace wraps exactly the functions in the layer
+    modules' ``__all__``, so a stale export would change what it sees."""
+    layers = ("clp", "euler", "numerics", "params", "pricing", "sampling", "state")
+    names = set()
+    for layer in layers:
+        mod = getattr(liftedheston, layer)
+        assert all(hasattr(mod, name) for name in mod.__all__), layer
+        names.update(mod.__all__)
+    assert sorted(liftedheston.__all__) == sorted(names)
+    assert all(hasattr(liftedheston, name) for name in liftedheston.__all__)

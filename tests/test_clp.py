@@ -199,9 +199,6 @@ def test_simulate_validates_grid_and_curve(set1, curve):
         simulate_clp(set1, curve, [0.0, 1.0, 1.0], 10, 1)
     with pytest.raises(ValueError):
         simulate_clp(set1, curve, [0.0, 1.0], 10, 1, snapshot_times=(0.7,))
-    bad_curve = InitialCurve.custom([0.0, 5.0], [0.5, 0.5])  # does not start at v0
-    with pytest.raises(ValueError):
-        simulate_clp(set1, bad_curve, [0.0, 1.0], 10, 1)
 
 
 def test_simulate_determinism_and_diagnostics(set1, curve):

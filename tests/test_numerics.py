@@ -6,7 +6,6 @@ from scipy.integrate import quad_vec, solve_ivp
 from scipy.linalg import expm
 
 from liftedheston import (
-    InitialCurve,
     ModelParams,
     build_drift_matrix,
     e_matrix_integral,
@@ -190,28 +189,6 @@ def test_one_step_mean_matches_exact_mean(set1, set2, set3, curve, dt):
         mean = float(p.omega @ pre.xi) + pre.g0_int
         ref = expected_integrated_variance(p.t0 + dt, p, curve)
         assert abs(mean - ref) < 1e-12 * abs(ref), f"n={p.n_states} dt={dt}"
-
-
-def test_custom_curve_tabulating_linear_matches_heston_linear(set1):
-    linear = InitialCurve.heston_linear()
-    slope = set1.lam * set1.theta
-    table = InitialCurve.custom([0.0, 4.0, 10.0], [set1.v0, set1.v0 + 4.0 * slope, set1.v0 + 10.0 * slope])
-    for s, t in ((0.0, 0.5), (1.0, 5.5)):
-        a, b = precompute_step(set1, linear, s, t), precompute_step(set1, table, s, t)
-        for field in ("phi1", "chi", "xi", "psi"):
-            ref, got = getattr(a, field), getattr(b, field)
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), field
-        assert b.g0_int == pytest.approx(a.g0_int, rel=1e-12)
-        assert b.g0_next == pytest.approx(a.g0_next, rel=1e-12)
-
-
-def test_custom_curve_kinks_inside_step(set1):
-    kinked = InitialCurve.custom([0.0, 0.3, 0.7, 2.0], [set1.v0, 0.05, 0.03, 0.06])
-    for s, t in ((0.1, 0.9), (0.0, 2.0), (0.3, 0.5)):
-        pre = precompute_step(set1, kinked, s, t)
-        xi, psi = forced_responses_ode(set1, kinked, s, t)
-        assert np.max(np.abs(pre.xi - xi)) < 1e-10
-        assert np.max(np.abs(pre.psi - psi)) < 1e-10
 
 
 def test_precompute_rejects_empty_step(set1, curve):

@@ -1,35 +1,49 @@
 """Parameter layer: weight/speed construction, curves, moment oracles."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
 from liftedheston import (
-    CurveKind,
     InitialCurve,
     ModelParams,
     PathState,
     RngStream,
     expected_integrated_variance,
-    expected_variance_curve,
     g0,
     g0_derivative,
     g0_integral,
-    heston_mean_integrated_variance,
-    heston_mean_variance,
     hurst_parametrization,
     precompute_step,
     simulate_euler,
     step_coefficients,
 )
-from liftedheston.params import _curve_ode
+from liftedheston.params import _curve_ode, _mean_moments
 
 
 def heston_collapse(lam=2.0, theta=0.04, v0=0.09, nu=0.2, rho=-0.3):
     """Single factor with zero speed: the classical model as a special case."""
     return ModelParams(1, lam, nu, v0, theta, rho, np.array([1.0]), np.array([0.0]))
+
+
+def _expected_variance_curve(grid, params, curve):
+    """E[V_t] at each point of ``grid``, exact up to rounding."""
+    return np.array([_mean_moments(params, curve, float(t))[0] for t in grid])
+
+
+def _heston_mean_variance(t, lam, theta, v0):
+    """Classical Heston E[V_t] = (v0 - theta) exp(-lam t) + theta."""
+    return (v0 - theta) * math.exp(-lam * t) + theta
+
+
+def _heston_mean_integrated_variance(t, lam, theta, v0):
+    """Classical Heston E[X_{0,t}]; the lam -> 0 limit is v0 * t."""
+    if lam == 0.0:
+        return v0 * t
+    return -(v0 - theta) * math.exp(-lam * t) / lam + theta * t + (v0 - theta) / lam
 
 
 def test_hurst_parametrization_shapes_and_signs():
@@ -217,23 +231,12 @@ def test_g0_integral_matches_quadrature(set1, set2, curve):
             assert g0_integral(s, t, p, curve) == pytest.approx(ref, abs=1e-9)
 
 
-def test_custom_curve_interpolation_and_range_check():
-    p = heston_collapse(v0=0.05)
-    c = InitialCurve.custom([0.0, 1.0, 2.0], [0.05, 0.07, 0.06])
-    assert g0(0.5, p, c) == pytest.approx(0.06, abs=1e-14)
-    assert g0_integral(0.0, 2.0, p, c) == pytest.approx(0.125, abs=1e-12)
-    with pytest.raises(ValueError):
-        g0(2.5, p, c)
-    with pytest.raises(ValueError):
-        InitialCurve.custom([0.0, 0.0], [0.05, 0.05])
-
-
 def test_expected_variance_collapses_to_heston_closed_form():
     p = heston_collapse(lam=2.0, theta=0.04, v0=0.09)
     c = InitialCurve.heston_linear()
     ts = np.linspace(0.0, 2.0, 9)
-    ev = expected_variance_curve(ts, p, c)
-    ref = np.array([heston_mean_variance(t, 2.0, 0.04, 0.09) for t in ts])
+    ev = _expected_variance_curve(ts, p, c)
+    ref = np.array([_heston_mean_variance(t, 2.0, 0.04, 0.09) for t in ts])
     assert np.max(np.abs(ev - ref)) < 1e-13
 
 
@@ -241,13 +244,13 @@ def test_expected_integrated_variance_collapses_to_heston_closed_form():
     p = heston_collapse(lam=2.0, theta=0.04, v0=0.09)
     c = InitialCurve.heston_linear()
     for t in (0.5, 1.0, 5.0):
-        ref = heston_mean_integrated_variance(t, 2.0, 0.04, 0.09)
+        ref = _heston_mean_integrated_variance(t, 2.0, 0.04, 0.09)
         assert abs(expected_integrated_variance(t, p, c) - ref) < 1e-13
 
 
 def test_expected_variance_lam_zero_is_constant(set3, curve):
     ts = np.linspace(0.0, 5.0, 6)
-    ev = expected_variance_curve(ts, set3, curve)
+    ev = _expected_variance_curve(ts, set3, curve)
     assert np.allclose(ev, set3.v0, atol=1e-10)
     assert expected_integrated_variance(5.0, set3, curve) == pytest.approx(
         5.0 * set3.v0, rel=1e-8
@@ -264,7 +267,7 @@ def test_expected_variance_approaches_stationary_level(set1, set2, curve):
         k_hat = float(np.sum(p.omega / p.x))
         limit = (p.v0 + p.lam * p.theta * k_hat) / (1.0 + p.lam * k_hat)
         ts = np.linspace(10.0, 40.0, 7)
-        gaps = np.abs(expected_variance_curve(ts, p, curve) - limit)
+        gaps = np.abs(_expected_variance_curve(ts, p, curve) - limit)
         assert np.all(np.diff(gaps) < 0), f"gaps not decreasing: {gaps}"
 
 
@@ -272,8 +275,7 @@ def _mean_reference(params, curve, times):
     """(E[V_t], E[X_{t0,t}]) at each of the sorted ``times`` by a stiff ODE solve.
 
     Integrates h_n' = E[V] - x_n h_n and I' = E[V] with
-    E[V] = g0(t) - lam * omega . h, restarting at every entry of ``times``
-    so that a kink of g0 placed there is never stepped over.
+    E[V] = g0(t) - lam * omega . h from one entry of ``times`` to the next.
     """
     n, omega = params.n_states, params.omega
 
@@ -302,20 +304,8 @@ def test_exact_means_match_stiff_ode_reference(name, curve, request):
     params = _ladder() if name == "ladder" else request.getfixturevalue(name)
     times = [1.0 / 78.0, 0.5, 5.0, 40.0]
     ref = _mean_reference(params, curve, times)
-    ev = expected_variance_curve(times, params, curve)
+    ev = _expected_variance_curve(times, params, curve)
     ex = [expected_integrated_variance(t, params, curve) for t in times]
-    assert np.max(np.abs(ev - ref[:, 0]) / ref[:, 0]) < 1e-12
-    assert np.max(np.abs(ex - ref[:, 1]) / ref[:, 1]) < 1e-12
-
-
-def test_exact_means_on_kinked_custom_curve(set1):
-    """A uniform grid never lands on the knot at 0.3, so a solver refining
-    one stalls at first order there; the exact means split at the knots."""
-    kinked = InitialCurve.custom([0.0, 0.3, 0.7, 2.0], [set1.v0, 0.05, 0.03, 0.06])
-    times = [0.1, 0.3, 0.5, 0.7, 0.9, 2.0]
-    ref = _mean_reference(set1, kinked, times)
-    ev = expected_variance_curve(times, set1, kinked)
-    ex = [expected_integrated_variance(t, set1, kinked) for t in times]
     assert np.max(np.abs(ev - ref[:, 0]) / ref[:, 0]) < 1e-12
     assert np.max(np.abs(ex - ref[:, 1]) / ref[:, 1]) < 1e-12
 
@@ -326,34 +316,24 @@ def test_exact_mean_x_matches_moment_equations(set1, set2, curve):
         assert expected_integrated_variance(1.0, params, curve) == pytest.approx(mean_x, rel=1e-10)
 
 
-@pytest.mark.parametrize("kind", list(CurveKind))
-def test_curve_ode_reproduces_g0(kind, set1):
-    """c0 + c . y, with y carried through each piece's y' = b - d * y in
-    closed form, is g0 at every piece edge; the CUSTOM table has knots
-    inside the interval."""
-    curve = {
-        CurveKind.CUSTOM: InitialCurve.custom([0.0, 0.3, 0.7, 2.0], [set1.v0, 0.05, 0.03, 0.06]),
-        CurveKind.HESTON_LINEAR: InitialCurve.heston_linear(),
-        CurveKind.LIFTED_DEFAULT: InitialCurve.lifted_default(),
-    }[kind]
+@pytest.mark.parametrize("curve", list(InitialCurve))
+def test_curve_ode_reproduces_g0(curve, set1):
+    """c0 + c . y is g0 at s and, with y carried over [s, t] through
+    y' = b - d * y in closed form, at t."""
     for s, t in ((0.0, 0.25), (0.1, 0.9), (1.2, 2.0)):
-        y, pieces = _curve_ode(set1, curve, s, t)
-        edge = s
-        assert len(pieces) == (3 if kind is CurveKind.CUSTOM and s == 0.1 else 1)
-        for width, c0, c, d, b in pieces:
-            assert c0 + c @ y == pytest.approx(float(g0(edge, set1, curve)), abs=1e-14)
-            decayed = np.where(d > 0, -np.expm1(-d * width) / np.where(d > 0, d, 1.0), width)
-            y = y * np.exp(-d * width) + b * decayed
-            edge += width
-            assert c0 + c @ y == pytest.approx(float(g0(edge, set1, curve)), abs=1e-14)
-        assert edge == pytest.approx(t, abs=1e-15)
+        y, c0, c, d, b = _curve_ode(set1, curve, s)
+        assert c0 + c @ y == pytest.approx(float(g0(s, set1, curve)), abs=1e-14)
+        width = t - s
+        decayed = np.where(d > 0, -np.expm1(-d * width) / np.where(d > 0, d, 1.0), width)
+        y = y * np.exp(-d * width) + b * decayed
+        assert c0 + c @ y == pytest.approx(float(g0(t, set1, curve)), abs=1e-14)
 
 
 def test_heston_mean_variance_lam_zero_limit():
-    assert heston_mean_variance(2.0, 0.0, 0.5, 0.09) == pytest.approx(0.09, abs=1e-14)
-    assert heston_mean_integrated_variance(2.0, 0.0, 0.5, 0.09) == pytest.approx(
+    assert _heston_mean_variance(2.0, 0.0, 0.5, 0.09) == pytest.approx(0.09, abs=1e-14)
+    assert _heston_mean_integrated_variance(2.0, 0.0, 0.5, 0.09) == pytest.approx(
         0.18, abs=1e-14
     )
     # continuity in lam at 0
-    near = heston_mean_integrated_variance(2.0, 1e-9, 0.5, 0.09)
+    near = _heston_mean_integrated_variance(2.0, 1e-9, 0.5, 0.09)
     assert near == pytest.approx(0.18, rel=1e-6)

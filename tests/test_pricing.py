@@ -13,7 +13,6 @@ from liftedheston import (
     VixSpec,
     black76_price,
     g0,
-    heston_vix_squared,
     implied_vol_black,
     price_european,
     pricing,
@@ -23,6 +22,17 @@ from liftedheston import (
 
 def collapse(lam=2.0, theta=0.04, v0=0.09):
     return ModelParams(1, lam, 0.2, v0, theta, -0.3, np.array([1.0]), np.array([0.0]))
+
+
+def _heston_vix_squared(v_t, lam, theta, horizon):
+    """Classical Heston squared VIX from the spot variance.
+
+    VIX^2 = (V_T - theta) (1 - exp(-lam Theta)) / (lam Theta) + theta,
+    with the lam -> 0 limit V_T.
+    """
+    if lam == 0.0:
+        return v_t
+    return (v_t - theta) * (-math.expm1(-lam * horizon) / (lam * horizon)) + theta
 
 
 def test_vix_spec_defaults_and_validation():
@@ -49,7 +59,7 @@ def test_vix_matches_heston_closed_form():
     v_t = np.array([0.01, 0.04, 0.09, 0.25])
     u = (v_t - g0(t, p, c))[:, None]
     vix, clamped = vix_from_state(u, t, p, c, horizon)
-    ref = np.sqrt(heston_vix_squared(v_t, p.lam, p.theta, horizon))
+    ref = np.sqrt(_heston_vix_squared(v_t, p.lam, p.theta, horizon))
     assert clamped == 0
     assert np.max(np.abs(vix - ref)) < 1e-10
 
@@ -83,11 +93,11 @@ def test_vix_clamps_out_of_support_states(set1, curve):
 
 
 def test_heston_vix_squared_limits():
-    assert heston_vix_squared(0.09, 0.0, 0.5, 1.0 / 12.0) == pytest.approx(0.09)
-    near = heston_vix_squared(0.09, 1e-8, 0.5, 1.0 / 12.0)
+    assert _heston_vix_squared(0.09, 0.0, 0.5, 1.0 / 12.0) == pytest.approx(0.09)
+    near = _heston_vix_squared(0.09, 1e-8, 0.5, 1.0 / 12.0)
     assert near == pytest.approx(0.09, rel=1e-6)
     # strong reversion pulls the index toward theta
-    strong = heston_vix_squared(0.09, 200.0, 0.04, 1.0)
+    strong = _heston_vix_squared(0.09, 200.0, 0.04, 1.0)
     assert abs(strong - 0.04) < 1e-3
 
 
