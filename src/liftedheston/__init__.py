@@ -29,7 +29,7 @@ from .pricing import (
     vix_from_state,
 )
 from .sampling import RngStream, correlated_pair, sample_inverse_gaussian
-from .state import PathState, SimDiagnostics, SimOutput, mean_se, variance_se_bootstrap
+from .state import PathState, SimDiagnostics, SimOutput, mean_se, variance_se
 
 __version__ = "0.1.0"
 
@@ -66,6 +66,6 @@ __all__ = [
     "simulate_clp",
     "simulate_euler",
     "step_coefficients",
-    "variance_se_bootstrap",
+    "variance_se",
     "vix_from_state",
 ]

@@ -378,9 +378,9 @@ def _summary_row(out: SimOutput, cfg: ExperimentConfig, dt: float) -> dict:
     s = out.summary()
     d = out.diagnostics
     # n_paths, then the means, variances and their standard errors, in
-    # the order of summary(); n_paths keeps its place as an integer
+    # the order of summary()
     return dict(
-        scheme=cfg.scheme, n_steps=d.n_steps, dt=dt, **s | {"n_paths": int(s["n_paths"])},
+        scheme=cfg.scheme, n_steps=d.n_steps, dt=dt, **s,
         min_variance=d.min_variance, constrained_fraction=d.constrained_fraction,
         degenerate_mean_draws=d.degenerate_mean_draws,
         clamped_variance_values=d.clamped_variance_values,
@@ -510,7 +510,7 @@ def cmd_sensitivity(cfg: ExperimentConfig) -> None:
             diff = x2_bump - x2_base
             e2_bump = float(np.mean(x2_bump)) - sur_bump
             sens_abs = (float(np.mean(diff)) - (sur_bump - sur_base)) / delta
-            sens_se = float(np.std(diff, ddof=1)) / math.sqrt(n) / abs(delta)
+            sens_se = mean_se(diff)[1] / abs(delta)
             sens_rel = sens_abs / base_value if base_value != 0.0 else float("nan")
         rows.append(dict(
             parameter=name, base_value=base_value, bump=delta, residual_second_moment=e2_bump,
@@ -519,7 +519,7 @@ def cmd_sensitivity(cfg: ExperimentConfig) -> None:
     out_dir = Path(cfg.out_dir)
     _write_rows(out_dir / "sensitivity.csv", rows)
     base = dict(
-        residual_second_moment=e2_base, se=float(np.std(x2_base, ddof=1)) / math.sqrt(n),
+        residual_second_moment=e2_base, se=mean_se(x2_base)[1],
         window=_SENS_WINDOW, euler_steps=_SENS_EULER_STEPS, n_paths=n,
     )
     _write_rows(out_dir / "sensitivity_base.csv", [base])

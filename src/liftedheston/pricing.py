@@ -23,6 +23,7 @@ from scipy.special import ndtr
 
 from .numerics import _step_moments
 from .params import InitialCurve, ModelParams, g0_integral
+from .state import mean_se
 
 __all__ = [
     "VixSpec",
@@ -109,10 +110,10 @@ def price_european(
     else:
         raise ValueError("kind must be 'call' or 'put'")
     disc = math.exp(-rate * t)
-    n = samples.shape[0]
-    price = disc * float(np.mean(payoff))
-    se = disc * float(np.std(payoff, ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
-    return PriceQuote(price=price, std_err=se, strike=strike, kind=kind, n_paths=n)
+    mean, se = mean_se(payoff)
+    return PriceQuote(
+        price=disc * mean, std_err=disc * se, strike=strike, kind=kind, n_paths=samples.shape[0]
+    )
 
 
 def black76_price(

@@ -20,6 +20,10 @@ The driver checks every step's state for non-finite values and raises
 ``FloatingPointError`` at the first, with numpy's floating-point
 warnings silenced inside the step, so extreme model values end in one
 error instead of warnings and inf/NaN output.
+
+The standard errors (``mean_se``, ``variance_se``) are closed form: they
+draw no random numbers and are infinite, without a warning, below two
+samples.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ __all__ = [
     "SimDiagnostics",
     "SimOutput",
     "mean_se",
-    "variance_se_bootstrap",
+    "variance_se",
 ]
 
 # Rows per block in the step kernels: at least _BLOCK, unless the batch
@@ -235,13 +239,10 @@ class SimOutput:
 
     def summary(self) -> dict[str, float]:
         """Means and variances of the terminal samples with standard errors."""
-        out: dict[str, float] = {"n_paths": float(self.s.shape[0])}
+        out: dict[str, float] = {"n_paths": self.s.shape[0]}
         for name, arr in (("s", self.s), ("v", self.v), ("x", self.x)):
-            m, se = mean_se(arr)
-            out[f"mean_{name}"] = m
-            out[f"se_mean_{name}"] = se
-        out["var_x"] = float(np.var(self.x, ddof=1))
-        out["se_var_x"] = variance_se_bootstrap(self.x)
+            out[f"mean_{name}"], out[f"se_mean_{name}"] = mean_se(arr)
+        out["var_x"], out["se_var_x"] = variance_se(self.x)
         return out
 
 
@@ -329,21 +330,17 @@ def mean_se(samples: np.ndarray) -> tuple[float, float]:
     return float(np.mean(samples)), float(np.std(samples, ddof=1) / np.sqrt(n))
 
 
-def variance_se_bootstrap(
-    samples: np.ndarray, n_resamples: int = 100, seed: int = 603_217
-) -> float:
-    """Bootstrap standard error of the sample variance.
+def variance_se(samples: np.ndarray) -> tuple[float, float]:
+    """Sample variance s^2 (``ddof=1``) and its closed-form standard error.
 
-    Uses its own fixed-seed generator so repeated calls on the same data
-    agree bit for bit.
+    se^2 = (m4 - (n - 3) / (n - 1) * s^4) / n, m4 the fourth central
+    moment, from numpy sums and no BLAS product, so the bits do not
+    depend on the BLAS thread count.  NaN and inf below two samples.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[0]
     if n < 2:
-        return float("inf")
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    stats = np.empty(n_resamples)
-    for b in range(n_resamples):
-        idx = gen.integers(0, n, size=n)
-        stats[b] = np.var(samples[idx], ddof=1)
-    return float(np.std(stats, ddof=1))
+        return float("nan"), float("inf")
+    var = float(np.var(samples, ddof=1))
+    m4 = float(np.mean((samples - np.mean(samples)) ** 4))
+    return var, float(np.sqrt((m4 - (n - 3) / (n - 1) * var**2) / n))

@@ -16,8 +16,9 @@ from liftedheston import (
     InitialCurve,
     ModelParams,
     RngStream,
+    mean_se,
     simulate_euler,
-    variance_se_bootstrap,
+    variance_se,
 )
 
 BENCH_PATHS = 200_000
@@ -65,13 +66,10 @@ def _benchmark(params, curve, seed):
     grid = np.linspace(0.0, BENCH_T, BENCH_STEPS + 1)
     out = simulate_euler(params, curve, grid, BENCH_PATHS, RngStream(seed, stream_id=1))
     x = out.x
-    return {
-        "x": x,
-        "mean_x": float(np.mean(x)),
-        "se_mean_x": float(np.std(x, ddof=1) / np.sqrt(x.size)),
-        "var_x": float(np.var(x, ddof=1)),
-        "se_var_x": variance_se_bootstrap(x),
-    }
+    bench = {"x": x}
+    bench["mean_x"], bench["se_mean_x"] = mean_se(x)
+    bench["var_x"], bench["se_var_x"] = variance_se(x)
+    return bench
 
 
 @pytest.fixture(scope="session")

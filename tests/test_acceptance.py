@@ -26,13 +26,14 @@ from liftedheston import (
     expected_integrated_variance,
     g0,
     g0_derivative,
+    mean_se,
     phi1,
     precompute_step,
     sample_inverse_gaussian,
     simulate_clp,
     simulate_euler,
     step_coefficients,
-    variance_se_bootstrap,
+    variance_se,
     vix_from_state,
 )
 from liftedheston.cli import build_grid, main as cli_main
@@ -56,8 +57,7 @@ def test_criterion_02_single_step_mean(set1, curve):
     """One projection step over [0, 5] matches the deterministic mean oracle."""
     out = simulate_clp(set1, curve, [0.0, 5.0], 200_000, RngStream(42))
     ref = expected_integrated_variance(5.0, set1, curve)
-    m = float(np.mean(out.x))
-    se = float(np.std(out.x, ddof=1) / np.sqrt(out.x.size))
+    m, se = mean_se(out.x)
     print(f"criterion 02: mean_x={m:.6f} oracle={ref:.6f} |diff|={abs(m - ref):.2e} "
           f"3se={3 * se:.2e} -> {'PASS' if abs(m - ref) <= 3 * se else 'FAIL'}")
     assert abs(m - ref) <= 3 * se
@@ -66,8 +66,7 @@ def test_criterion_02_single_step_mean(set1, curve):
 def test_criterion_03_large_step_variance(set1, curve, bench_set1):
     """Projection steps of 2.15 match the fine-Euler terminal X variance."""
     out = simulate_clp(set1, curve, [0.0, 2.15, 4.3, 5.0], 200_000, RngStream(43))
-    var = float(np.var(out.x, ddof=1))
-    se = variance_se_bootstrap(out.x)
+    var, se = variance_se(out.x)
     diff = abs(var - bench_set1["var_x"])
     tol = max(0.05 * bench_set1["var_x"], 3.0 * float(np.hypot(se, bench_set1["se_var_x"])))
     print(f"criterion 03: var_x={var:.6e} bench={bench_set1['var_x']:.6e} "
@@ -315,8 +314,7 @@ def test_criterion_11_euler_divergence(set3, curve, bench_set3):
     euler_diverges = gap_e > 10.0 * bench_set3["se_var_x"]
 
     clp = simulate_clp(set3, curve, [0.0, 2.15, 4.3, 5.0], 200_000, RngStream(77))
-    var_c = float(np.var(clp.x, ddof=1))
-    se_c = variance_se_bootstrap(clp.x)
+    var_c, se_c = variance_se(clp.x)
     diff_c = abs(var_c - bench_set3["var_x"])
     tol_c = max(0.05 * bench_set3["var_x"], 3.0 * float(np.hypot(se_c, bench_set3["se_var_x"])))
     clp_ok = diff_c <= tol_c

@@ -301,6 +301,31 @@ def test_extreme_model_values_exit_2_with_one_line(tmp_path, child_env, config, 
     assert not (tmp_path / "out").exists()
 
 
+# a single path has no sample variance: each used to exit 0 after two
+# numpy RuntimeWarning lines (degrees of freedom <= 0, invalid divide)
+@pytest.mark.parametrize("command", [
+    ["simulate", "--paths", "1", "--steps", "2"],
+    ["simulate", "--scheme", "euler", "--paths", "1", "--steps", "2"],
+    ["converge", "--paths", "1", "--steps", "5"],
+    ["sensitivity", "--paths", "1"],
+])
+def test_one_path_runs_without_warnings(tmp_path, child_env, command):
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "liftedheston.cli", *command, "--out", str(out)],
+        env=child_env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    if command[0] == "simulate":
+        row = next(csv.DictReader(io.StringIO((out / "summary.csv").read_text())))
+        assert row["n_paths"] == "1"
+        assert row["var_x"] == "nan" and row["se_var_x"] == "inf"
+        assert row["se_mean_x"] == "inf"
+    if command[0] == "sensitivity":
+        base = next(csv.DictReader(io.StringIO((out / "sensitivity_base.csv").read_text())))
+        assert base["se"] == "inf"
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs CPU affinity control and at least 2 usable CPUs",

@@ -1,4 +1,7 @@
-"""State containers, summary statistics, bootstrap standard errors."""
+"""State containers, summary statistics and their standard errors."""
+
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from liftedheston import (
     mean_se,
     simulate_clp,
     simulate_euler,
-    variance_se_bootstrap,
+    variance_se,
 )
 from liftedheston.state import _BLOCK, _path_blocks
 
@@ -42,13 +45,47 @@ def test_mean_se_values():
     assert m1 == 5.0 and se1 == np.inf
 
 
-def test_bootstrap_variance_se():
+def _bootstrap_variance_se(samples, n_resamples=100, seed=603_217):
+    """Reference: the bootstrap standard error that ``variance_se`` replaced."""
+    n = samples.shape[0]
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    stats = np.empty(n_resamples)
+    for b in range(n_resamples):
+        stats[b] = np.var(samples[gen.integers(0, n, size=n)], ddof=1)
+    return float(np.std(stats, ddof=1))
+
+
+def test_variance_se_exact_value():
+    # mean 4, deviations -3 -2 -1 0 6: s^2 = 50 / 4, m4 = 1394 / 5
+    var, se = variance_se(np.array([1.0, 2.0, 3.0, 4.0, 10.0]))
+    assert var == 12.5
+    n, s2, m4 = 5, 12.5, 1394 / 5
+    assert se == pytest.approx(math.sqrt((m4 - (n - 3) / (n - 1) * s2**2) / n), rel=1e-15)
+    assert se == pytest.approx(6.335219017524177, rel=1e-15)
+
+
+def test_variance_se_normal_theory_and_bootstrap():
     rng = np.random.default_rng(44)
     x = rng.normal(size=20_000)
-    se = variance_se_bootstrap(x)
-    assert se == variance_se_bootstrap(x), "fixed resampling seed"
-    theory = np.var(x, ddof=1) * np.sqrt(2.0 / (x.size - 1))
-    assert 0.5 * theory < se < 2.0 * theory
+    var, se = variance_se(x)
+    assert var == float(np.var(x, ddof=1))
+    assert (var, se) == variance_se(x), "same array, same bits"
+    theory = var * np.sqrt(2.0 / (x.size - 1))
+    assert abs(se / theory - 1.0) < 0.1
+    assert abs(se / _bootstrap_variance_se(x) - 1.0) < 0.15
+    # a skewed law, where normal theory is off by half: the fourth
+    # moment carries the error, as the bootstrap sees it too
+    y = rng.exponential(size=20_000)
+    assert abs(variance_se(y)[1] / _bootstrap_variance_se(y) - 1.0) < 0.15
+
+
+def test_variance_se_few_samples():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        var1, se1 = variance_se(np.array([5.0]))
+        var2, se2 = variance_se(np.array([1.0, 3.0]))
+    assert math.isnan(var1) and se1 == np.inf
+    assert var2 == 2.0 and math.isfinite(se2) and se2 > 0.0
 
 
 def test_constrained_fraction_guard():
@@ -65,7 +102,7 @@ def test_summary_keys_and_consistency(set1, curve):
     for key in ("n_paths", "mean_s", "se_mean_s", "mean_v", "se_mean_v",
                 "mean_x", "se_mean_x", "var_x", "se_var_x"):
         assert key in s
-    assert s["n_paths"] == 4000.0
+    assert s["n_paths"] == 4000.0 and isinstance(s["n_paths"], int)
     assert s["mean_x"] == pytest.approx(float(np.mean(out.x)))
     assert s["var_x"] == pytest.approx(float(np.var(out.x, ddof=1)))
     assert s["se_var_x"] > 0.0

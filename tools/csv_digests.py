@@ -6,12 +6,16 @@ Runs the small CLI commands and config files recorded in
 ``BENCH_cold_start.json`` under ``csv_sha256.small_cli_runs``, and the
 multi-block runs below, from the package in this checkout's ``src/``,
 with one BLAS thread, in a temporary directory.  Prints one
-``<run>/<file> <sha256>`` line per CSV, sorted, so two checkouts compare
-with ``diff``.  Exits 1 if a command fails.
+``<run>/<file> <sha256>`` line per CSV, sorted, each followed by one
+``<run>/<file>:<column> <sha256>`` line per column in file order, so two
+checkouts compare with ``diff`` and the diff names the columns whose
+bytes moved.  A column's digest covers its header and cells, one per
+line.  Exits 1 if a command fails.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -34,6 +38,23 @@ MULTI_BLOCK_RUNS = {
 }
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_lines(work: Path) -> list:
+    """Whole-file and per-column digest lines of every ``*/*.csv`` under ``work``."""
+    lines = []
+    for path in sorted(work.glob("*/*.csv")):
+        name = path.relative_to(work).as_posix()
+        data = path.read_bytes()
+        lines.append(f"{name} {_sha256(data)}")
+        for column in zip(*csv.reader(data.decode().splitlines())):
+            digest = _sha256("\n".join(column).encode())
+            lines.append(f"{name}:{column[0]} {digest}")
+    return lines
+
+
 def main() -> int:
     runs = json.loads((ROOT / "BENCH_cold_start.json").read_text())["csv_sha256"]["small_cli_runs"]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **_ONE_THREAD)
@@ -47,8 +68,7 @@ def main() -> int:
             if proc.returncode != 0:
                 print(f"{name}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr)
                 return 1
-        for path in sorted(work.glob("*/*.csv")):
-            print(f"{path.relative_to(work).as_posix()} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+        print(*digest_lines(work), sep="\n")
     return 0
 
 
