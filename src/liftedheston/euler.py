@@ -12,10 +12,18 @@ the fixed values, and the driver integral Z by sqrt(V+) dW2, for use as
 a convergence benchmark against the projection scheme.
 
 ``euler_step`` draws z_perp and then z2 for all paths, as
-``correlated_pair`` does, and then updates the factors in blocks of
-``state._BLOCK`` rows into one reused (block, N) buffer, with the same
-operations in the same order per element as the whole-batch
-expression; the output bits do not depend on the blocking.
+``correlated_pair`` does.  It then updates the factors in the same
+explicit scheme regrouped as
+
+    U <- U * (1 - x dt) + (nu dW2 - lam V+ dt),
+
+with the decay computed once per step (N values) and the shock once per
+path, so each block of ``state._BLOCK`` rows takes two passes, a
+multiply into the new state and one broadcast add, before its product
+with omega.  Per element these are the operations of the whole-batch
+expression that ``tests/test_kernels.py`` uses as the oracle, so the
+bits do not depend on the blocking.  The blocks run on the calling
+thread: the body is too light for threads to pay off.
 
 ``simulate_euler`` runs the step over a grid through the driver in
 ``state.py`` that the projection scheme shares.
@@ -72,21 +80,14 @@ def euler_step(
     sq_dw = np.sqrt(v_fix * dt)
     dw1 = sq_dw * z1
     dw2 = sq_dw * z2
-    lam_v = params.lam * v_fix
-    nu_dw2 = params.nu * dw2
-    blocks = _path_blocks(n)
-    drift = np.empty((blocks[-1][1] - blocks[-1][0], params.n_states))
+    # u + (-x u - lam v+) dt + nu dW2 = u (1 - x dt) + (nu dW2 - lam v+ dt)
+    decay = 1.0 - params.x * dt
+    shock = params.nu * dw2 - params.lam * v_fix * dt
     u_new = np.empty_like(state.u)
     v_new = np.empty(n)
-    for lo, hi in blocks:
-        # u + (-u x - lam v+) dt + nu dW2
-        u = state.u[lo:hi]
-        d = np.negative(u, out=drift[: hi - lo])
-        d *= params.x
-        d -= lam_v[lo:hi, None]
-        d *= dt
-        u_blk = np.add(u, d, out=u_new[lo:hi])
-        u_blk += nu_dw2[lo:hi, None]
+    for lo, hi in _path_blocks(n):
+        u_blk = np.multiply(state.u[lo:hi], decay, out=u_new[lo:hi])
+        u_blk += shock[lo:hi, None]
         np.matmul(u_blk, params.omega, out=v_new[lo:hi])
     g0_next = float(g0(t_next, params, curve))
     v_new += g0_next

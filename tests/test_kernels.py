@@ -9,6 +9,17 @@ they are the oracle, and the kernels must match them bit for bit with
 one, two or three workers.  The first block and the last hold at least
 ``_BLOCK`` rows, so rows below ``_BLOCK`` fall in the first worker's
 share and rows from ``n - _BLOCK`` on in the last worker's.
+
+The references run in a spawned child with one BLAS thread, the kernels
+in this process.  OpenBLAS gives the last ``n % 4`` rows of each of its
+threads' shares of a matrix-vector product other bits, so a whole-batch
+product is exact at every size only on one thread; the kernels' blocks
+start on multiples of 4 and keep their bits on any thread count.
+
+The Euler oracle is the two-pass update u (1 - x dt) + (nu dW2 - lam v+ dt)
+that the kernel runs.  The six-pass expression it replaced,
+(u + (-u x - lam v+) dt) + nu dW2, stays below as ``six_pass_update``, and
+the kernel must agree with it to a few ulps of the terms.
 """
 
 import dataclasses
@@ -31,20 +42,50 @@ from liftedheston import (
     precompute_step,
     sample_inverse_gaussian,
     simulate_clp,
+    simulate_euler,
     step_coefficients,
 )
-from liftedheston import clp, state as state_module
+from liftedheston import clp, euler as euler_module, state as state_module
 from liftedheston.state import _BLOCK, _path_blocks
 from test_clp import degenerate_state
 
-# Two blocks per worker at 1, 2 and 3 workers, and a 3-row tail.  The
-# whole-batch reference is exact only where OpenBLAS's own split of its
-# rows between BLAS threads falls on a multiple of 4; with two BLAS
-# threads this size's does, 7 * _BLOCK + 3 does not.
+# Two blocks per worker at 1, 2 and 3 workers, and a 3-row tail.
 MANY = 7 * _BLOCK + 39
 SIZES = (1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 37, MANY)
 WORKERS = (1, 2, 3)
 FIELDS = ("log_s", "u", "v", "x_cum", "z_cum")
+_ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _reference_in_child(reference, *args, clp_patches=(), **kwargs):
+    """``reference(*args, diagnostics=..., **kwargs)`` with the ``clp``
+    attributes in ``clp_patches`` replaced for the call; returns the step
+    and its diagnostics."""
+    saved = [(name, getattr(clp, name)) for name, _ in clp_patches]
+    try:
+        for name, value in clp_patches:
+            setattr(clp, name, value)
+        diagnostics = SimDiagnostics()
+        return reference(*args, diagnostics=diagnostics, **kwargs), diagnostics
+    finally:
+        for name, value in saved:
+            setattr(clp, name, value)
+
+
+@pytest.fixture(scope="module")
+def one_thread():
+    """Run a reference step in a spawned child with one BLAS thread.
+
+    ``one_thread(reference, *args, clp_patches=(), **kwargs)`` returns
+    what ``_reference_in_child`` returns there, or raises its error.
+    """
+    with pytest.MonkeyPatch.context() as env:
+        for key in _ONE_THREAD:
+            env.setenv(key, "1")
+        pool = multiprocessing.get_context("spawn").Pool(1)
+    with pool:
+        yield lambda *args, **kwargs: pool.apply_async(
+            _reference_in_child, args, kwargs).get(timeout=120)
 
 
 def reference_clp_step(state, pre, params, stream, diagnostics=None):
@@ -115,8 +156,16 @@ def reference_clp_step(state, pre, params, stream, diagnostics=None):
                      x_cum=state.x_cum + x_hat, z_cum=state.z_cum + z_state)
 
 
+def two_pass_update(u, v_fix, dw2, params, dt):
+    return u * (1.0 - params.x * dt) + (params.nu * dw2 - params.lam * v_fix * dt)[:, None]
+
+
+def six_pass_update(u, v_fix, dw2, params, dt):
+    return u + (-u * params.x[None, :] - (params.lam * v_fix)[:, None]) * dt + (params.nu * dw2)[:, None]
+
+
 def reference_euler_step(state, t_next, params, curve, stream, diagnostics=None,
-                         fix=VarianceFix.FULL_TRUNCATION):
+                         fix=VarianceFix.FULL_TRUNCATION, update=two_pass_update):
     def fixed(v):
         return np.abs(v) if fix is VarianceFix.REFLECTION else np.maximum(v, 0.0)
 
@@ -127,11 +176,7 @@ def reference_euler_step(state, t_next, params, curve, stream, diagnostics=None,
     sq_dw = np.sqrt(v_fix * dt)
     dw1 = sq_dw * z1
     dw2 = sq_dw * z2
-    u_new = (
-        state.u
-        + (-state.u * params.x[None, :] - (params.lam * v_fix)[:, None]) * dt
-        + (params.nu * dw2)[:, None]
-    )
+    u_new = update(state.u, v_fix, dw2, params, dt)
     g0_next = float(g0(t_next, params, curve))
     v_new = u_new @ params.omega + g0_next
     if fix is VarianceFix.ABSORPTION:
@@ -169,13 +214,13 @@ def state_from_rows(u, t, v):
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("which", ["set1", "set3"])
-def test_clp_step_matches_unblocked_reference(request, monkeypatch, curve, which, n):
+def test_clp_step_matches_unblocked_reference(request, monkeypatch, one_thread, curve, which, n):
     params = request.getfixturevalue(which)
     state = interior_state(params, curve, n, seed=n)
     for t_next in (1.0 + 1.0 / 78, 1.5):
         pre = precompute_step(params, curve, 1.0, t_next)
-        diag_ref = SimDiagnostics()
-        want = reference_clp_step(state, pre, params, RngStream(9, stream_id=n), diag_ref)
+        want, diag_ref = one_thread(reference_clp_step, state, pre, params,
+                                    RngStream(9, stream_id=n))
         for workers in WORKERS:
             monkeypatch.setattr(state_module, "_WORKERS", workers)
             diag = SimDiagnostics()
@@ -183,7 +228,7 @@ def test_clp_step_matches_unblocked_reference(request, monkeypatch, curve, which
             assert_same_step(got, want, diag, diag_ref)
 
 
-def test_clp_step_degenerate_paths_in_last_block(set3, curve, monkeypatch):
+def test_clp_step_degenerate_paths_in_last_block(set3, curve, monkeypatch, one_thread):
     """Degenerate rows in the last block and in the first, so in the
     first worker's share and in the last worker's."""
     pre = precompute_step(set3, curve, 0.0, 2.15)
@@ -193,8 +238,7 @@ def test_clp_step_degenerate_paths_in_last_block(set3, curve, monkeypatch):
     rows = np.array([3, _BLOCK - 2, n - 30, n - 5, n - 1])
     u[rows] = u_bad
     state = state_from_rows(u, 0.0, u @ set3.omega + set3.v0)
-    diag_ref = SimDiagnostics()
-    want = reference_clp_step(state, pre, set3, RngStream(12), diag_ref)
+    want, diag_ref = one_thread(reference_clp_step, state, pre, set3, RngStream(12))
     assert diag_ref.degenerate_mean_draws == rows.size
     assert np.all(want.x_cum[rows] == state.x_cum[rows])
     for workers in WORKERS:
@@ -206,18 +250,64 @@ def test_clp_step_degenerate_paths_in_last_block(set3, curve, monkeypatch):
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("fix", list(VarianceFix))
-def test_euler_step_matches_unblocked_reference(set2, curve, fix, n):
+def test_euler_step_matches_unblocked_reference(set2, curve, one_thread, fix, n):
     # spread states around the curve so that a good share of the paths
     # step below zero variance and ABSORPTION rescales rows in every block
     u = np.random.default_rng(n).normal(scale=0.05, size=(n, set2.n_states))
     state = state_from_rows(u, 0.5, u @ set2.omega + float(g0(0.5, set2, curve)))
-    diag, diag_ref = SimDiagnostics(), SimDiagnostics()
+    diag = SimDiagnostics()
     got = euler_step(state, 0.6, set2, curve, RngStream(4, stream_id=n), diag, fix)
-    want = reference_euler_step(state, 0.6, set2, curve, RngStream(4, stream_id=n), diag_ref, fix)
+    want, diag_ref = one_thread(reference_euler_step, state, 0.6, set2, curve,
+                                RngStream(4, stream_id=n), fix=fix)
     assert_same_step(got, want, diag, diag_ref)
     if fix is VarianceFix.ABSORPTION and n >= 2 * _BLOCK:
         absorbed = np.flatnonzero(got.v == 0.0)
         assert absorbed.min() < _BLOCK <= absorbed.max()
+
+
+@pytest.mark.parametrize("fix", list(VarianceFix))
+@pytest.mark.parametrize("which", ["set2", "set3"])
+def test_euler_step_agrees_with_six_pass_update(request, curve, which, fix):
+    """One step of the two-pass kernel against the six-pass expression, to
+    4 ulps of the summed magnitudes of the update's terms; at dt = 0.1,
+    x dt > 1 for the stiffest set3 factors."""
+    params = request.getfixturevalue(which)
+    dt = 0.1
+    assert which == "set2" or np.any(params.x * dt > 1.0)
+    n = 2 * _BLOCK + 37
+    u = np.random.default_rng(5).normal(scale=0.05, size=(n, params.n_states))
+    g0_start = float(g0(0.5, params, curve))
+    state = state_from_rows(u, 0.5, u @ params.omega + g0_start)
+    got = euler_step(state, 0.5 + dt, params, curve, RngStream(8), SimDiagnostics(), fix)
+    old = reference_euler_step(state, 0.5 + dt, params, curve, RngStream(8), fix=fix,
+                               update=six_pass_update)
+    assert np.array_equal(got.log_s, old.log_s) and np.array_equal(got.z_cum, old.z_cum)
+    v_fix = np.abs(state.v) if fix is VarianceFix.REFLECTION else np.maximum(state.v, 0.0)
+    terms = (np.abs(u) * (1.0 + params.x * dt)
+             + (params.lam * v_fix * dt + params.nu * np.abs(old.z_cum - state.z_cum))[:, None])
+    eps = np.finfo(float).eps
+    u_tol = 4 * eps * terms
+    v_tol = u_tol @ params.omega + 4 * eps * (terms @ params.omega + g0_start)
+    assert np.all(np.abs(got.u - old.u) <= u_tol)
+    assert np.all(np.abs(got.v - old.v) <= v_tol)
+    assert np.all(np.abs(got.x_cum - old.x_cum) <= 0.5 * dt * v_tol + eps * old.x_cum)
+    assert not np.array_equal(got.u, old.u)
+
+
+def test_euler_terminal_mean_agrees_with_six_pass_update(set3, curve, monkeypatch):
+    """Over 1,000 steps the rounding differences of the two updates leave
+    the mean integrated variance equal to 1e-12 relative."""
+    grid = np.linspace(0.0, 5.0, 1001)
+    new = simulate_euler(set3, curve, grid, 5000, RngStream(21)).x
+
+    def six_pass_step(state, t_next, params, curve, stream, diagnostics, fix):
+        return reference_euler_step(state, t_next, params, curve, stream, diagnostics, fix,
+                                    update=six_pass_update)
+
+    monkeypatch.setattr(euler_module, "euler_step", six_pass_step)
+    old = simulate_euler(set3, curve, grid, 5000, RngStream(21)).x
+    assert not np.array_equal(new, old)
+    assert np.mean(new) == pytest.approx(np.mean(old), rel=1e-12, abs=0)
 
 
 def bad_constant_row(params, pre):
@@ -259,23 +349,26 @@ def test_constraint_error_names_first_bad_path_globally(set3, curve, monkeypatch
                 clp_step(state, pre, set3, RngStream(3))
 
 
-def test_roundoff_error_reports_global_minimum(set1, curve, monkeypatch):
+_REAL_CONSTRAIN = clp._constrain
+
+
+def _too_steep(coeffs, u, pre, params, work, first_path=0):
+    out = _REAL_CONSTRAIN(coeffs, u, pre, params, work, first_path)
+    rows = first_path + np.arange(u.shape[0])
+    out.beta_c = out.beta_c * np.where(rows < _BLOCK, 5.0, 100.0)
+    return out
+
+
+def test_roundoff_error_reports_global_minimum(set1, curve, monkeypatch, one_thread):
     """Slopes pushed past the boundary make the variance negative in
     every block; the error must quote the minimum over all paths."""
-    real = clp._constrain
-
-    def too_steep(coeffs, u, pre, params, work, first_path=0):
-        out = real(coeffs, u, pre, params, work, first_path)
-        rows = first_path + np.arange(u.shape[0])
-        out.beta_c = out.beta_c * np.where(rows < _BLOCK, 5.0, 100.0)
-        return out
-
     n = MANY
     state = interior_state(set1, curve, n, seed=5)
     pre = precompute_step(set1, curve, 1.0, 1.5)
-    monkeypatch.setattr(clp, "_constrain", too_steep)
+    patches = [("_constrain", _too_steep)]
+    monkeypatch.setattr(clp, "_constrain", _too_steep)
     with pytest.raises(FloatingPointError) as want:
-        reference_clp_step(state, pre, set1, RngStream(6))
+        one_thread(reference_clp_step, state, pre, set1, RngStream(6), clp_patches=patches)
     for workers in WORKERS:
         monkeypatch.setattr(state_module, "_WORKERS", workers)
         with pytest.raises(FloatingPointError) as got:
@@ -283,9 +376,10 @@ def test_roundoff_error_reports_global_minimum(set1, curve, monkeypatch):
         assert str(got.value) == str(want.value)
     # with the floor lifted, paths clamp in the first and the last
     # worker's share, and the clamp counts agree with the reference
+    patches.append(("_V_ROUNDOFF", np.inf))
     monkeypatch.setattr(clp, "_V_ROUNDOFF", np.inf)
-    diag_ref = SimDiagnostics()
-    ref = reference_clp_step(state, pre, set1, RngStream(6), diag_ref)
+    ref, diag_ref = one_thread(reference_clp_step, state, pre, set1, RngStream(6),
+                               clp_patches=patches)
     clamped = np.flatnonzero(ref.v == 0.0)
     assert clamped.min() < _BLOCK and clamped.max() >= n - _BLOCK
     for workers in WORKERS:
