@@ -8,7 +8,7 @@ round out the toolkit; the ``lifted-heston`` entry point drives the
 experiment harness.
 """
 
-from .clp import ProjectionCoeffs, clp_step, constrain_beta, simulate_clp, step_coefficients
+from .clp import ProjectionCoeffs, clp_step, simulate_clp, step_coefficients
 from .euler import VarianceFix, euler_step, simulate_euler
 from .numerics import StepPrecompute, build_drift_matrix, e_matrix_integral, phi1, precompute_step
 from .params import (
@@ -48,7 +48,6 @@ __all__ = [
     "black76_price",
     "build_drift_matrix",
     "clp_step",
-    "constrain_beta",
     "correlated_pair",
     "e_matrix_integral",
     "euler_step",

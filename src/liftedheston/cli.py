@@ -112,8 +112,8 @@ class ExperimentConfig:
 
     def build_curve(self) -> InitialCurve:
         if self.curve_kind == "heston":
-            return InitialCurve.heston_linear()
-        return InitialCurve.lifted_default()
+            return InitialCurve.HESTON_LINEAR
+        return InitialCurve.LIFTED_DEFAULT
 
 
 def build_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
@@ -230,12 +230,6 @@ def _one_of(*choices):
     return parse
 
 
-def _fix(raw: str, key: str) -> str:
-    if raw not in [f.value for f in VarianceFix]:
-        raise ConfigError(f"fix: unknown variance fix {raw!r}")
-    return raw
-
-
 def _bumps(raw: str, key: str) -> tuple:
     # "lam:0.001,nu:0,..."; a zero bump is allowed and reports an exact
     # zero sensitivity (common random numbers).
@@ -274,7 +268,7 @@ _KEYS = {
     "seed": ("seed", _integer, "master seed; every run derives its stream from it"),
     "out": ("out_dir", lambda raw, key: raw, "output directory for CSV files"),
     "benchmark_steps": ("benchmark_steps", _count, None),
-    "fix": ("fix", _fix, None),
+    "fix": ("fix", _one_of(*(f.value for f in VarianceFix)), None),
     "bumps": ("bumps", _bumps, None),
 }
 

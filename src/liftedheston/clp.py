@@ -29,12 +29,13 @@ paths in blocks (``state._path_blocks``), which ``state._run_blocks``
 spreads over one thread per usable CPU.  Each thread reuses two
 (block, N) buffers through ``out=`` ufuncs and ``np.matmul(..., out=)``,
 and a block's slice of the new factor array serves as a third, instead
-of allocating a fresh (paths, N) array per operation.  Each element goes
-through the same operations in the same order as in
-``step_coefficients`` and ``constrain_beta``, whose code the kernel
-shares, BLAS gives each row the same bits in a block as in the whole
-batch, and the diagnostics are reduced in block order, so the output is
-bitwise that of the unblocked step on any number of CPUs.  The block
+of allocating a fresh (paths, N) array per operation.  A block projects
+and clips its slopes in one call to ``_coefficients``, the code behind
+``step_coefficients``, so each element goes through the same operations
+in the same order as in the whole-batch call, BLAS gives each row the
+same bits in a block as in the whole batch, and the diagnostics are
+reduced in block order, so the output is bitwise that of the unblocked
+step on any number of CPUs.  The block
 body calls only numpy and this package's private helpers, and sets the
 numpy error state it needs itself.
 
@@ -56,7 +57,6 @@ from .state import PathState, SimDiagnostics, SimOutput, _run_blocks, _simulate
 __all__ = [
     "ProjectionCoeffs",
     "step_coefficients",
-    "constrain_beta",
     "clp_step",
     "simulate_clp",
 ]
@@ -82,16 +82,16 @@ class ProjectionCoeffs:
     beta: np.ndarray
     ratio: np.ndarray
     degenerate: np.ndarray
-    beta_limit: np.ndarray | None = None
-    c: np.ndarray | None = None
-    beta_c: np.ndarray | None = None
-    constrained: np.ndarray | None = None
+    beta_limit: np.ndarray
+    c: np.ndarray
+    beta_c: np.ndarray
+    constrained: np.ndarray
 
 
 def step_coefficients(
     state: PathState, pre: StepPrecompute, params: ModelParams
 ) -> ProjectionCoeffs:
-    """Unconstrained projection coefficients from the current state.
+    """Projection coefficients from the current state, slope clipped.
 
     alpha estimates the conditional mean of a positive integral; the
     affine surrogate that produces it has no support constraint, so over
@@ -103,46 +103,6 @@ def step_coefficients(
     constrained branch and the factor split falls back to its small-step
     limit ratio_n = 1/omega_bar, which preserves the identity
     sum_n omega_n ratio_n = 1.
-    """
-    return _project(state.u, pre, params, np.empty(state.u.shape), np.empty(state.u.shape))
-
-
-def _project(u, pre, params, alpha_factors, ratio) -> ProjectionCoeffs:
-    """:func:`step_coefficients` for factor rows ``u``.
-
-    The per-factor means and the factor split are written into the
-    (rows, N) buffers ``alpha_factors`` and ``ratio``, which the result
-    holds.
-    """
-    omega = params.omega
-    np.matmul(u, pre.phi1.T, out=alpha_factors)
-    alpha_factors += pre.xi
-    alpha = alpha_factors @ omega + pre.g0_int
-    degenerate = alpha <= 0.0
-    kappa = np.matmul(u, pre.chi.T, out=ratio)
-    kappa += pre.psi
-    xz_mean = kappa @ omega
-    beta = xz_mean / np.where(degenerate, 1.0, alpha)
-    ok = xz_mean > 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(kappa, xz_mean[:, None], out=ratio)
-    ratio[~ok] = 1.0 / params.omega_bar
-    return ProjectionCoeffs(
-        alpha=alpha,
-        alpha_factors=alpha_factors,
-        beta=beta,
-        ratio=ratio,
-        degenerate=degenerate,
-    )
-
-
-def constrain_beta(
-    coeffs: ProjectionCoeffs,
-    state: PathState,
-    pre: StepPrecompute,
-    params: ModelParams,
-) -> ProjectionCoeffs:
-    """Clip the projection slope so the variance update stays nonnegative.
 
     The variance after the step is affine in the sampled X_hat >= 0, so
     nonnegativity holds iff the slope in X_hat is nonnegative --
@@ -151,57 +111,68 @@ def constrain_beta(
     X_hat = 0 is nonnegative, c - nu alpha omega_bar / beta >= 0.  A raw
     beta that is nonpositive or infeasible is replaced by the boundary
     slope beta^C = nu alpha omega_bar / c, which satisfies both
-    conditions with the X_hat = 0 value exactly zero.
+    conditions with the X_hat = 0 value exactly zero.  Raises
+    ``FloatingPointError`` naming the first live path whose c is
+    nonpositive, for which no admissible slope exists.
     """
-    return _constrain(coeffs, state.u, pre, params, np.empty(coeffs.ratio.shape))
+    u = state.u
+    return _coefficients(u, pre, params, np.empty(u.shape), np.empty(u.shape), np.empty(u.shape))
 
 
-def _constrain(coeffs, u, pre, params, work, first_path=0) -> ProjectionCoeffs:
-    """:func:`constrain_beta` for factor rows ``u``.
+def _coefficients(u, pre, params, alpha_factors, ratio, work, first_path=0) -> ProjectionCoeffs:
+    """:func:`step_coefficients` for factor rows ``u``.
 
-    ``work`` is a (rows, N) buffer.  The rows are paths
+    The per-factor means and the factor split are written into the
+    (rows, N) buffers ``alpha_factors`` and ``ratio``, which the result
+    holds; ``work`` is a third (rows, N) buffer.  The rows are paths
     ``first_path``, ``first_path + 1``, ... of the batch, which is how
     the error names a path.
     """
     omega, x = params.omega, params.x
     omega_bar = params.omega_bar
     nu = params.nu
+    np.matmul(u, pre.phi1.T, out=alpha_factors)
+    alpha_factors += pre.xi
+    alpha = alpha_factors @ omega + pre.g0_int
+    degenerate = alpha <= 0.0
+    # degenerate paths never sample, so give them a harmless positive mean
+    alpha_pos = np.where(degenerate, 1.0, alpha)
+    kappa = np.matmul(u, pre.chi.T, out=ratio)
+    kappa += pre.psi
+    xz_mean = kappa @ omega
+    beta = xz_mean / alpha_pos
+    ok = xz_mean > 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.divide(kappa, xz_mean[:, None], out=ratio)
+    ratio[~ok] = 1.0 / omega_bar
     wx = omega * x
-    denom = coeffs.ratio @ wx + params.lam * omega_bar
+    denom = ratio @ wx + params.lam * omega_bar
     with np.errstate(divide="ignore"):
         beta_limit = np.where(denom > 0.0, nu * omega_bar / np.where(denom > 0.0, denom, 1.0), np.inf)
-    xhat_at_zero = np.multiply(coeffs.ratio, coeffs.alpha[:, None], out=work)
-    np.subtract(coeffs.alpha_factors, xhat_at_zero, out=xhat_at_zero)
+    xhat_at_zero = np.multiply(ratio, alpha[:, None], out=work)
+    np.subtract(alpha_factors, xhat_at_zero, out=xhat_at_zero)
     c = u @ omega - xhat_at_zero @ wx + pre.g0_next
-    bad_c = (c <= 0.0) & ~coeffs.degenerate
+    bad_c = (c <= 0.0) & ~degenerate
     if np.any(bad_c):
         bad = int(np.argmax(bad_c))
         raise FloatingPointError(
             f"constraint constant nonpositive (path {first_path + bad}, c={c[bad]:.3e}); "
             f"no admissible slope exists"
         )
-    # degenerate paths never sample, so give them a harmless positive slope
-    alpha_pos = np.where(coeffs.degenerate, 1.0, coeffs.alpha)
     boundary = nu * alpha_pos * omega_bar / c
     with np.errstate(divide="ignore", invalid="ignore"):
-        value_at_zero = c - nu * alpha_pos * omega_bar / coeffs.beta
-    feasible = (
-        (coeffs.beta > 0.0)
-        & (coeffs.beta <= beta_limit)
-        & (value_at_zero >= 0.0)
-        & ~coeffs.degenerate
-    )
-    beta_c = np.where(feasible, coeffs.beta, boundary)
+        value_at_zero = c - nu * alpha_pos * omega_bar / beta
+    feasible = (beta > 0.0) & (beta <= beta_limit) & (value_at_zero >= 0.0) & ~degenerate
     return ProjectionCoeffs(
-        alpha=coeffs.alpha,
-        alpha_factors=coeffs.alpha_factors,
-        beta=coeffs.beta,
-        ratio=coeffs.ratio,
-        degenerate=coeffs.degenerate,
+        alpha=alpha,
+        alpha_factors=alpha_factors,
+        beta=beta,
+        ratio=ratio,
+        degenerate=degenerate,
         beta_limit=beta_limit,
         c=c,
-        beta_c=beta_c,
-        constrained=~feasible & ~coeffs.degenerate,
+        beta_c=np.where(feasible, beta, boundary),
+        constrained=~feasible & ~degenerate,
     )
 
 
@@ -242,9 +213,8 @@ def clp_step(
     def block(lo, hi, alpha_factors, ratio):
         u = state.u[lo:hi]
         u_blk = u_new[lo:hi]
-        # u_blk is free until the update below, so it holds the constraint's work rows
-        coeffs = _project(u, pre, params, alpha_factors, ratio)
-        coeffs = _constrain(coeffs, u, pre, params, u_blk, lo)
+        # u_blk is free until the update below, so it holds the coefficients' work rows
+        coeffs = _coefficients(u, pre, params, alpha_factors, ratio, u_blk, lo)
         alpha, beta_c, degen = coeffs.alpha, coeffs.beta_c, coeffs.degenerate
         alpha_pos = np.where(degen, 1.0, alpha)
         gamma = np.square(alpha_pos / beta_c)

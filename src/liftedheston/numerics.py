@@ -17,8 +17,8 @@ of the linear system
 where m is the conditional mean of the factors, a its running integral,
 G0 the running integral of the initial curve g0 and kappa the per-factor
 mean of X_{s,u} = int_s^u V against Z_{s,u} = int_s^u sqrt(V) dW2.  The
-curve itself is appended as an autonomous state y with y' = b - d * y
-(d a vector of decay rates) and g0 = c0 + c . y, so the whole system is
+curve itself is appended as an autonomous state y with y' = 1 - d * y
+(d a vector of decay rates) and g0 = V0 + c . y, so the whole system is
 one constant generator G acting on [kappa, a, m, G0, y, 1] and its
 solution is exp(G h) (Van Loan, IEEE TAC 23(3), 1978).  Read off, with
 z0 = [0, 0, 0, 0, y(s), 1],
@@ -80,8 +80,8 @@ def e_matrix_integral(params: ModelParams, h: float) -> np.ndarray:
     return _van_loan(a, np.outer(np.ones(params.n_states), params.omega), a, h)
 
 
-def _generator(params: ModelParams, c0: float, c: np.ndarray, decay: np.ndarray, b: float) -> np.ndarray:
-    """Generator of [kappa, a, m, G0, y, 1] for g0 = c0 + c . y with y' = b - decay * y."""
+def _generator(params: ModelParams, c: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """Generator of [kappa, a, m, G0, y, 1] for g0 = v0 + c . y with y' = 1 - decay * y."""
     n, k = params.n_states, c.size
     a = build_drift_matrix(params)
     ones = np.ones(n)
@@ -94,11 +94,11 @@ def _generator(params: ModelParams, c0: float, c: np.ndarray, decay: np.ndarray,
     gen[ai, mi] = np.eye(n)
     gen[mi, mi] = a
     gen[mi, yi] = -params.lam * np.outer(ones, c)
-    gen[mi, one] = -params.lam * c0
+    gen[mi, one] = -params.lam * params.v0
     gen[gi, yi] = c
-    gen[gi, one] = c0
+    gen[gi, one] = params.v0
     gen[yi, yi] = -np.diag(decay)
-    gen[yi, one] = b
+    gen[yi, one] = 1.0
     return gen
 
 
@@ -110,9 +110,9 @@ def _step_moments(params: ModelParams, curve: InitialCurve, s: float, t: float):
     extreme model values.
     """
     n = params.n_states
-    y_s, c0, c, d, b = _curve_ode(params, curve, s)
+    y_s, c, d = _curve_ode(params, curve, s)
     with np.errstate(over="ignore", invalid="ignore"):
-        expo = expm(_generator(params, c0, c, d, b) * (t - s))
+        expo = expm(_generator(params, c, d) * (t - s))
     if not np.all(np.isfinite(expo)):
         raise ValueError("step moments overflow: model values too large")
     z0 = np.concatenate((y_s, [1.0]))

@@ -61,14 +61,6 @@ class InitialCurve(enum.Enum):
     LIFTED_DEFAULT = "lifted-default"
     HESTON_LINEAR = "heston-linear"
 
-    @classmethod
-    def lifted_default(cls) -> "InitialCurve":
-        return cls.LIFTED_DEFAULT
-
-    @classmethod
-    def heston_linear(cls) -> "InitialCurve":
-        return cls.HESTON_LINEAR
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -259,18 +251,18 @@ def g0_integral(s: float, t: float, params: ModelParams, curve: InitialCurve) ->
 def _curve_ode(params: ModelParams, curve: InitialCurve, s: float):
     """g0 from time ``s`` on as the output of a linear ODE.
 
-    Returns (y(s), c0, c, d, b) such that g0 = c0 + c . y with
-    y' = b - d * y.  HESTON_LINEAR has y = t - t0, LIFTED_DEFAULT
+    Returns (y(s), c, d) such that g0 = v0 + c . y with
+    y' = 1 - d * y.  HESTON_LINEAR has y = t - t0, LIFTED_DEFAULT
     y_n = (1 - exp(-x_n (t - t0))) / x_n.
     """
     tau = s - params.t0
     coef = params.lam * params.theta
     if curve is InitialCurve.HESTON_LINEAR:
-        return np.array([tau]), params.v0, np.array([coef]), np.zeros(1), 1.0
+        return np.array([tau]), np.array([coef]), np.zeros(1)
     # the x_n = 0 limit of y_n is tau
     x = params.x
     y_s = np.where(x > 0.0, -np.expm1(-x * tau) / np.where(x > 0.0, x, 1.0), tau)
-    return y_s, params.v0, coef * params.omega, x, 1.0
+    return y_s, coef * params.omega, x
 
 
 def _mean_moments(params: ModelParams, curve: InitialCurve, t: float) -> tuple[float, float]:
@@ -280,22 +272,22 @@ def _mean_moments(params: ModelParams, curve: InitialCurve, t: float) -> tuple[f
     variance is E[V_t] = g0(t) - lam * omega . h, so the vector
     [h, I, y, 1], I = E[X_{t0,t}], obeys the constant-coefficient ODE
 
-        h' = E[V] - x * h,    I' = E[V],    E[V] = c0 + c . y - lam * omega . h,
+        h' = E[V] - x * h,    I' = E[V],    E[V] = v0 + c . y - lam * omega . h,
 
     with y the curve state of ``_curve_ode``, started from [0, 0, y(t0), 1].
     """
     if t == params.t0:
         return float(g0(t, params, curve)), 0.0
     n = params.n_states
-    y, c0, c, d, b = _curve_ode(params, curve, params.t0)
+    y, c, d = _curve_ode(params, curve, params.t0)
     z = np.concatenate((np.zeros(n + 1), y, [1.0]))
     gen = np.zeros((z.size, z.size))
     # row I is E[V]; each row h_n is E[V] - x_n h_n
-    gen[n, :n], gen[n, n + 1 : -1], gen[n, -1] = -params.lam * params.omega, c, c0
+    gen[n, :n], gen[n, n + 1 : -1], gen[n, -1] = -params.lam * params.omega, c, params.v0
     gen[:n] = gen[n]
     gen[:n, :n] -= np.diag(params.x)
     gen[n + 1 : -1, n + 1 : -1] = -np.diag(d)
-    gen[n + 1 : -1, -1] = b
+    gen[n + 1 : -1, -1] = 1.0
     z = expm(gen * (t - params.t0)) @ z
     mean_v = float(g0(t, params, curve)) - params.lam * float(params.omega @ z[:n])
     return mean_v, float(z[n])

@@ -29,9 +29,11 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.seed < 0 or self.stream_id < 0:
-            raise ValueError("seed and stream_id must be >= 0")
-        key = (int(self.seed) & (2**64 - 1)) | (int(self.stream_id) << 64)
+        # each fills one 64-bit half of the Philox key, so a larger value
+        # would alias a smaller one
+        if not (0 <= self.seed < 2**64 and 0 <= self.stream_id < 2**64):
+            raise ValueError("seed and stream_id must be >= 0 and < 2**64")
+        key = int(self.seed) | (int(self.stream_id) << 64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def normal(self, size=None):

@@ -37,7 +37,7 @@ def child_env():
 
 @pytest.fixture(scope="session")
 def curve():
-    return InitialCurve.lifted_default()
+    return InitialCurve.LIFTED_DEFAULT
 
 
 @pytest.fixture(scope="session")

@@ -43,7 +43,7 @@ from liftedheston.pricing import implied_vol_black, price_european
 def test_criterion_01_heston_collapse_mean():
     """Single-factor collapse reproduces the classical terminal mean."""
     params = ModelParams(1, 2.0, 0.2, 0.09, 0.04, -0.3, np.array([1.0]), np.array([0.0]))
-    curve = InitialCurve.heston_linear()
+    curve = InitialCurve.HESTON_LINEAR
     out = simulate_clp(params, curve, np.linspace(0.0, 1.0, 5), 200_000, RngStream(41))
     ref = (0.09 - 0.04) * np.exp(-2.0) + 0.04
     m = float(np.mean(out.v))

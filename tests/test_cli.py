@@ -252,6 +252,17 @@ def test_library_errors_exit_2_with_one_line(tmp_path, child_env):
     assert "Traceback" not in proc.stderr
 
 
+def test_seed_past_64_bits_exits_2_with_one_line(tmp_path, child_env):
+    # 2**64 + 5 used to run silently with the bytes of seed 5
+    proc = subprocess.run(
+        [sys.executable, "-m", "liftedheston.cli", "simulate", "--paths", "10", "--steps", "2",
+         "--seed", str(2**64 + 5), "--out", str(tmp_path / "out")],
+        env=child_env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: seed and stream_id must be >= 0 and < 2**64"]
+    assert not (tmp_path / "out").exists()
+
+
 # each used to fail another way: an OverflowError traceback, a silent
 # run with N = 2, and a RuntimeWarning line before the error
 @pytest.mark.parametrize("config, flags, message", [

@@ -13,13 +13,11 @@ from liftedheston import (
     SimDiagnostics,
     build_drift_matrix,
     clp_step,
-    constrain_beta,
     g0,
     precompute_step,
     simulate_clp,
     step_coefficients,
 )
-from liftedheston.clp import ProjectionCoeffs
 
 N_PROP = 2000  # paths used by the randomized property checks
 
@@ -68,7 +66,7 @@ def test_slope_constraint_invariants(set1, set2, curve):
         st = interior_states(params, curve, 1.0, N_PROP, seed)
         for h in (0.1, 0.5, 2.0):
             pre = precompute_step(params, curve, 1.0, 1.0 + h)
-            co = constrain_beta(step_coefficients(st, pre, params), st, pre, params)
+            co = step_coefficients(st, pre, params)
             live = ~co.degenerate
             assert np.all(co.beta_c[live] > 0.0)
             assert np.all(co.beta_c[live] <= co.beta_limit[live] * (1.0 + 1e-12))
@@ -83,7 +81,7 @@ def test_raw_slope_never_feasible_on_model_states(set1, curve):
     st = interior_states(set1, curve, 1.0, N_PROP, 64)
     for h, lo, hi in ((0.01, 0.45, 0.55), (0.5, 0.3, 1.0), (2.15, 0.3, 1.0)):
         pre = precompute_step(set1, curve, 1.0, 1.0 + h)
-        co = constrain_beta(step_coefficients(st, pre, set1), st, pre, set1)
+        co = step_coefficients(st, pre, set1)
         live = ~co.degenerate
         assert np.all(co.constrained[live]), f"h={h}: some raw slopes feasible"
         ratio = co.beta[live] / co.beta_c[live]
@@ -91,22 +89,32 @@ def test_raw_slope_never_feasible_on_model_states(set1, curve):
         assert lo < float(np.median(ratio)) < hi, f"h={h} median={np.median(ratio)}"
 
 
-def test_constraint_constant_guard_raises():
-    set3 = ModelParams.from_hurst(20, 0.3, lam=0.0, nu=0.31, v0=0.1, theta=0.02, rho=0.7)
-    curve = InitialCurve.lifted_default()
+def state_from_rows(u, t, v):
+    n = u.shape[0]
+    return PathState(t=t, log_s=np.linspace(4.0, 5.0, n), u=u, v=v,
+                     x_cum=np.linspace(0.0, 1.0, n), z_cum=np.linspace(-1.0, 1.0, n))
+
+
+def bad_constant_row(params, pre):
+    """A factor row with a positive projected mean whose constraint
+    constant c is nonpositive, found by a seeded search."""
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        u = rng.normal(size=(1, params.n_states)) * 10.0 ** rng.uniform(-2, 1.5, size=params.n_states)
+        st = state_from_rows(u, pre.t_start, u @ params.omega + params.v0)
+        try:
+            step_coefficients(st, pre, params)
+        except FloatingPointError:
+            return u[0]
+    raise AssertionError("no row with a nonpositive constraint constant found")
+
+
+def test_constraint_constant_guard_raises(set3, curve):
     pre = precompute_step(set3, curve, 0.0, 2.15)
-    n = 3
-    st = PathState(t=0.0, log_s=np.zeros(n), u=np.full((n, 20), -10.0),
-                   v=np.full(n, 1.0), x_cum=np.zeros(n), z_cum=np.zeros(n))
-    co = ProjectionCoeffs(
-        alpha=np.full(n, 0.5),
-        alpha_factors=np.zeros((n, 20)),
-        beta=np.full(n, 0.1),
-        ratio=np.tile(np.full(20, 1.0 / set3.omega_bar), (n, 1)),
-        degenerate=np.zeros(n, dtype=bool),
-    )
-    with pytest.raises(FloatingPointError):
-        constrain_beta(co, st, pre, set3)
+    u = np.tile(bad_constant_row(set3, pre), (3, 1))
+    st = state_from_rows(u, 0.0, u @ set3.omega + set3.v0)
+    with pytest.raises(FloatingPointError, match=r"\(path 0, c="):
+        step_coefficients(st, pre, set3)
 
 
 def degenerate_state(set3, pre):
@@ -137,7 +145,7 @@ def test_degenerate_mean_limit_step(set3, curve):
     assert diag.degenerate_mean_draws == n
     assert np.all(out.x_cum == 0.0), "limit step must not add integrated variance"
     assert np.allclose(out.log_s, np.log(100.0) + set3.rate * pre.dt, atol=1e-15)
-    co = constrain_beta(step_coefficients(st, pre, set3), st, pre, set3)
+    co = step_coefficients(st, pre, set3)
     z_expect = max(-float(co.c[0]), 0.0) / (set3.nu * set3.omega_bar)
     assert np.allclose(out.z_cum, z_expect, atol=1e-12)
     assert np.all(out.v >= 0.0)
@@ -245,7 +253,7 @@ def test_discounted_price_is_martingale(curve):
 
 def test_heston_collapse_one_step_mean():
     params = ModelParams(1, 2.0, 0.2, 0.09, 0.04, -0.3, np.array([1.0]), np.array([0.0]))
-    curve = InitialCurve.heston_linear()
+    curve = InitialCurve.HESTON_LINEAR
     out = simulate_clp(params, curve, [0.0, 0.5], 200_000, RngStream(29))
     ref = (0.09 - 0.04) * np.exp(-2.0 * 0.5) + 0.04
     m, se = np.mean(out.v), np.std(out.v, ddof=1) / np.sqrt(out.v.size)

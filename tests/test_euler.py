@@ -62,7 +62,7 @@ def test_integrated_variance_nondecreasing(set2, curve):
 
 def test_heston_collapse_terminal_mean():
     params = ModelParams(1, 2.0, 0.2, 0.09, 0.04, -0.3, np.array([1.0]), np.array([0.0]))
-    curve = InitialCurve.heston_linear()
+    curve = InitialCurve.HESTON_LINEAR
     out = simulate_euler(params, curve, np.linspace(0.0, 1.0, 201), 100_000, RngStream(57))
     ref = (0.09 - 0.04) * np.exp(-2.0) + 0.04
     m, se = np.mean(out.v), np.std(out.v, ddof=1) / np.sqrt(out.v.size)

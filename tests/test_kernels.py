@@ -4,7 +4,7 @@
 ``state._path_blocks``, and ``clp_step`` spreads its blocks over
 ``state._WORKERS`` threads.  The references below advance the whole
 batch in one vectorized pass, from the public ``step_coefficients``,
-``constrain_beta``, ``sample_inverse_gaussian`` and ``correlated_pair``;
+``sample_inverse_gaussian`` and ``correlated_pair``;
 they are the oracle, and the kernels must match them bit for bit with
 one, two or three workers.  The first block and the last hold at least
 ``_BLOCK`` rows, so rows below ``_BLOCK`` fall in the first worker's
@@ -35,7 +35,6 @@ from liftedheston import (
     SimDiagnostics,
     VarianceFix,
     clp_step,
-    constrain_beta,
     correlated_pair,
     euler_step,
     g0,
@@ -47,7 +46,7 @@ from liftedheston import (
 )
 from liftedheston import clp, euler as euler_module, state as state_module
 from liftedheston.state import _BLOCK, _path_blocks
-from test_clp import degenerate_state
+from test_clp import bad_constant_row, degenerate_state, state_from_rows
 
 # Two blocks per worker at 1, 2 and 3 workers, and a 3-row tail.
 MANY = 7 * _BLOCK + 39
@@ -89,7 +88,7 @@ def one_thread():
 
 
 def reference_clp_step(state, pre, params, stream, diagnostics=None):
-    coeffs = constrain_beta(step_coefficients(state, pre, params), state, pre, params)
+    coeffs = step_coefficients(state, pre, params)
     alpha, beta_c, ratio = coeffs.alpha, coeffs.beta_c, coeffs.ratio
     degen = coeffs.degenerate
     n = state.n_paths
@@ -206,12 +205,6 @@ def interior_state(params, curve, n, seed):
     return out.snapshots[1.0]
 
 
-def state_from_rows(u, t, v):
-    n = u.shape[0]
-    return PathState(t=t, log_s=np.linspace(4.0, 5.0, n), u=u, v=v,
-                     x_cum=np.linspace(0.0, 1.0, n), z_cum=np.linspace(-1.0, 1.0, n))
-
-
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("which", ["set1", "set3"])
 def test_clp_step_matches_unblocked_reference(request, monkeypatch, one_thread, curve, which, n):
@@ -310,23 +303,6 @@ def test_euler_terminal_mean_agrees_with_six_pass_update(set3, curve, monkeypatc
     assert np.mean(new) == pytest.approx(np.mean(old), rel=1e-12, abs=0)
 
 
-def bad_constant_row(params, pre):
-    """A factor row with a positive projected mean whose constraint
-    constant c is nonpositive, found by a seeded search."""
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        u = rng.normal(size=(1, params.n_states)) * 10.0 ** rng.uniform(-2, 1.5, size=params.n_states)
-        st = state_from_rows(u, pre.t_start, u @ params.omega + params.v0)
-        co = step_coefficients(st, pre, params)
-        if co.degenerate[0]:
-            continue
-        try:
-            constrain_beta(co, st, pre, params)
-        except FloatingPointError:
-            return u[0]
-    raise AssertionError("no row with a nonpositive constraint constant found")
-
-
 def test_constraint_error_names_first_bad_path_globally(set3, curve, monkeypatch):
     """Bad rows in the first, the middle and the last of three workers'
     shares: the error names the first bad path, whichever worker meets
@@ -342,18 +318,18 @@ def test_constraint_error_names_first_bad_path_globally(set3, curve, monkeypatch
         u[list(rows[k:])] = u_bad
         state = state_from_rows(u, 0.0, u @ set3.omega + set3.v0)
         with pytest.raises(FloatingPointError, match=rf"\(path {first}, c="):
-            constrain_beta(step_coefficients(state, pre, set3), state, pre, set3)
+            step_coefficients(state, pre, set3)
         for workers in WORKERS:
             monkeypatch.setattr(state_module, "_WORKERS", workers)
             with pytest.raises(FloatingPointError, match=rf"\(path {first}, c="):
                 clp_step(state, pre, set3, RngStream(3))
 
 
-_REAL_CONSTRAIN = clp._constrain
+_REAL_COEFFICIENTS = clp._coefficients
 
 
-def _too_steep(coeffs, u, pre, params, work, first_path=0):
-    out = _REAL_CONSTRAIN(coeffs, u, pre, params, work, first_path)
+def _too_steep(u, pre, params, alpha_factors, ratio, work, first_path=0):
+    out = _REAL_COEFFICIENTS(u, pre, params, alpha_factors, ratio, work, first_path)
     rows = first_path + np.arange(u.shape[0])
     out.beta_c = out.beta_c * np.where(rows < _BLOCK, 5.0, 100.0)
     return out
@@ -365,8 +341,8 @@ def test_roundoff_error_reports_global_minimum(set1, curve, monkeypatch, one_thr
     n = MANY
     state = interior_state(set1, curve, n, seed=5)
     pre = precompute_step(set1, curve, 1.0, 1.5)
-    patches = [("_constrain", _too_steep)]
-    monkeypatch.setattr(clp, "_constrain", _too_steep)
+    patches = [("_coefficients", _too_steep)]
+    monkeypatch.setattr(clp, "_coefficients", _too_steep)
     with pytest.raises(FloatingPointError) as want:
         one_thread(reference_clp_step, state, pre, set1, RngStream(6), clp_patches=patches)
     for workers in WORKERS:

@@ -210,7 +210,7 @@ def test_default_curve_starts_at_v0(set1, set2, set3, curve):
 
 def test_heston_linear_curve_values():
     p = heston_collapse(lam=2.0, theta=0.04, v0=0.09)
-    c = InitialCurve.heston_linear()
+    c = InitialCurve.HESTON_LINEAR
     ts = np.linspace(0.0, 3.0, 7)
     assert np.allclose(g0(ts, p, c), 0.09 + 2.0 * 0.04 * ts, atol=1e-14)
     assert g0_derivative(1.3, p, c) == pytest.approx(2.0 * 0.04, abs=1e-12)
@@ -233,7 +233,7 @@ def test_g0_integral_matches_quadrature(set1, set2, curve):
 
 def test_expected_variance_collapses_to_heston_closed_form():
     p = heston_collapse(lam=2.0, theta=0.04, v0=0.09)
-    c = InitialCurve.heston_linear()
+    c = InitialCurve.HESTON_LINEAR
     ts = np.linspace(0.0, 2.0, 9)
     ev = _expected_variance_curve(ts, p, c)
     ref = np.array([_heston_mean_variance(t, 2.0, 0.04, 0.09) for t in ts])
@@ -242,7 +242,7 @@ def test_expected_variance_collapses_to_heston_closed_form():
 
 def test_expected_integrated_variance_collapses_to_heston_closed_form():
     p = heston_collapse(lam=2.0, theta=0.04, v0=0.09)
-    c = InitialCurve.heston_linear()
+    c = InitialCurve.HESTON_LINEAR
     for t in (0.5, 1.0, 5.0):
         ref = _heston_mean_integrated_variance(t, 2.0, 0.04, 0.09)
         assert abs(expected_integrated_variance(t, p, c) - ref) < 1e-13
@@ -318,15 +318,15 @@ def test_exact_mean_x_matches_moment_equations(set1, set2, curve):
 
 @pytest.mark.parametrize("curve", list(InitialCurve))
 def test_curve_ode_reproduces_g0(curve, set1):
-    """c0 + c . y is g0 at s and, with y carried over [s, t] through
-    y' = b - d * y in closed form, at t."""
+    """v0 + c . y is g0 at s and, with y carried over [s, t] through
+    y' = 1 - d * y in closed form, at t."""
     for s, t in ((0.0, 0.25), (0.1, 0.9), (1.2, 2.0)):
-        y, c0, c, d, b = _curve_ode(set1, curve, s)
-        assert c0 + c @ y == pytest.approx(float(g0(s, set1, curve)), abs=1e-14)
+        y, c, d = _curve_ode(set1, curve, s)
+        assert set1.v0 + c @ y == pytest.approx(float(g0(s, set1, curve)), abs=1e-14)
         width = t - s
         decayed = np.where(d > 0, -np.expm1(-d * width) / np.where(d > 0, d, 1.0), width)
-        y = y * np.exp(-d * width) + b * decayed
-        assert c0 + c @ y == pytest.approx(float(g0(t, set1, curve)), abs=1e-14)
+        y = y * np.exp(-d * width) + decayed
+        assert set1.v0 + c @ y == pytest.approx(float(g0(t, set1, curve)), abs=1e-14)
 
 
 def test_heston_mean_variance_lam_zero_limit():

@@ -54,7 +54,7 @@ def test_vix_matches_heston_closed_form():
     """On the single-factor collapse the conditional-mean map must agree
     with the classical formula for every spot variance."""
     p = collapse()
-    c = InitialCurve.heston_linear()
+    c = InitialCurve.HESTON_LINEAR
     t, horizon = 1.0, 1.0 / 12.0
     v_t = np.array([0.01, 0.04, 0.09, 0.25])
     u = (v_t - g0(t, p, c))[:, None]
@@ -66,7 +66,7 @@ def test_vix_matches_heston_closed_form():
 
 def test_vix_short_horizon_limit():
     p = collapse()
-    c = InitialCurve.heston_linear()
+    c = InitialCurve.HESTON_LINEAR
     v_t = 0.09
     u = np.array([[v_t - float(g0(1.0, p, c))]])
     for horizon in (1e-3, 1e-4):

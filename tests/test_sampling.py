@@ -34,6 +34,15 @@ def test_stream_rejects_negative_keys():
         RngStream(1, stream_id=-2)
 
 
+def test_stream_rejects_keys_past_64_bits():
+    # 2**64 + 5 used to be masked down to seed 5 and draw its numbers
+    for seed, stream_id in ((2**64, 0), (2**64 + 5, 0), (1, 2**64)):
+        with pytest.raises(ValueError, match=r"< 2\*\*64"):
+            RngStream(seed, stream_id=stream_id)
+    top = RngStream(2**64 - 1, stream_id=2**64 - 1).normal(8)
+    assert not np.array_equal(top, RngStream(0).normal(8))
+
+
 def test_normal_and_uniform_moments():
     stream = RngStream(9)
     z = stream.normal(200_000)
