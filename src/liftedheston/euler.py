@@ -17,12 +17,13 @@ explicit scheme regrouped as
 
     U <- U * (1 - x dt) + (nu dW2 - lam V+ dt),
 
-with the decay computed once per step (N values) and the shock once per
-path, so each block of ``state._BLOCK`` rows takes two passes, a
-multiply into the new state and one broadcast add, before its product
-with omega.  Per element these are the operations of the whole-batch
-expression that ``tests/test_kernels.py`` uses as the oracle, so the
-bits do not depend on the blocking.  The blocks run on the calling
+with the decay computed once per step (N values, tiled to the longest
+block's rows) and the shock once per path, so each block of
+``state._BLOCK`` rows takes two passes, a multiply into the new state
+and one broadcast add, before its product with omega.  Per element
+these are the operations of the whole-batch expression that
+``tests/test_kernels.py`` uses as the oracle, so the bits do not
+depend on the blocking.  The blocks run on the calling
 thread: the body is too light for threads to pay off.
 
 ``simulate_euler`` runs the step over a grid through the driver in
@@ -81,12 +82,15 @@ def euler_step(
     dw1 = sq_dw * z1
     dw2 = sq_dw * z2
     # u + (-x u - lam v+) dt + nu dW2 = u (1 - x dt) + (nu dW2 - lam v+ dt)
-    decay = 1.0 - params.x * dt
     shock = params.nu * dw2 - params.lam * v_fix * dt
     u_new = np.empty_like(state.u)
     v_new = np.empty(n)
-    for lo, hi in _path_blocks(n):
-        u_blk = np.multiply(state.u[lo:hi], decay, out=u_new[lo:hi])
+    blocks = _path_blocks(n)
+    # the decay tiled to the longest block: a contiguous operand multiplies
+    # faster than a row broadcast along only N elements, with the same bits
+    decay = np.tile(1.0 - params.x * dt, (max(hi - lo for lo, hi in blocks), 1))
+    for lo, hi in blocks:
+        u_blk = np.multiply(state.u[lo:hi], decay[: hi - lo], out=u_new[lo:hi])
         u_blk += shock[lo:hi, None]
         np.matmul(u_blk, params.omega, out=v_new[lo:hi])
     g0_next = float(g0(t_next, params, curve))

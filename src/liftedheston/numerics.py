@@ -36,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
+from ._expm import expm
 from .params import InitialCurve, ModelParams, _curve_ode, g0, g0_integral
 
 __all__ = [
@@ -47,6 +47,10 @@ __all__ = [
     "e_matrix_integral",
     "precompute_step",
 ]
+
+
+# the largest step moment whose square is finite
+_MAX_MOMENT = np.sqrt(np.finfo(float).max)
 
 
 def build_drift_matrix(params: ModelParams) -> np.ndarray:
@@ -106,14 +110,15 @@ def _step_moments(params: ModelParams, curve: InitialCurve, s: float, t: float):
     """(phi1, chi, xi, psi) over [s, t] from the exponential of the step generator.
 
     The curve state and its coefficients come from ``params._curve_ode``.
-    Raises ValueError when the exponential overflows, as it does for
-    extreme model values.
+    Raises ValueError when an entry of the exponential is not finite or
+    its square overflows, as for extreme model values: the scheme squares
+    ratios of these moments (the inverse Gaussian shape), so such a step
+    could not be sampled.
     """
     n = params.n_states
     y_s, c, d = _curve_ode(params, curve, s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        expo = expm(_generator(params, c, d) * (t - s))
-    if not np.all(np.isfinite(expo)):
+    expo = expm(_generator(params, c, d) * (t - s))
+    if not np.all(np.abs(expo) < _MAX_MOMENT):
         raise ValueError("step moments overflow: model values too large")
     z0 = np.concatenate((y_s, [1.0]))
     forced = expo[: 2 * n, 3 * n + 1 :] @ z0

@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gamma as gamma_fn
+
+from ._expm import expm
 
 __all__ = [
     "InitialCurve",
@@ -183,7 +183,8 @@ def hurst_parametrization(n_states: int, hurst: float) -> tuple[np.ndarray, np.n
     n = np.arange(1, n_states + 1, dtype=float)
     a = 0.5 - hurst
     omega_scale = (r_n**a - 1.0) * r_n ** (-a * (1.0 + big_n / 2.0))
-    omega_scale /= gamma_fn(hurst + 0.5) * gamma_fn(1.5 - hurst)
+    # Gamma(H + 1/2) Gamma(3/2 - H) = Gamma(1 - a) Gamma(1 + a) = pi a / sin(pi a)
+    omega_scale /= math.pi * a / math.sin(math.pi * a)
     omega = omega_scale * r_n ** (a * n)
     x_scale = (a / (1.0 + a)) * (r_n ** (1.0 + a) - 1.0) / (r_n**a - 1.0)
     x = x_scale * r_n ** (n - 1.0 - big_n / 2.0)

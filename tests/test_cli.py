@@ -468,28 +468,38 @@ def test_thread_count_does_not_change_csv(tmp_path):
     assert read_all(out_a) == read_all(out_b)
 
 
-# scipy subpackages the package does not use; scipy.stats alone used to be
-# more than half of every command's start-up time
-_UNUSED_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.interpolate")
+# importing scipy (its linalg and special subpackages) used to be most of
+# every command's start-up time; small runs of three commands cover the
+# code paths an import inside a function could hide behind
+_SCIPY_FREE_RUNS = (
+    ["simulate", "--paths", "200", "--steps", "3"],
+    ["vix", "--paths", "200", "--steps", "13"],
+    ["converge", "--paths", "200", "--steps", "2.5"],
+)
 
 
-def test_import_graph_leaves_out_unused_scipy(child_env):
+def test_import_graph_leaves_out_unused_scipy(child_env, tmp_path):
     pkg = Path(liftedheston.__file__).resolve().parent
     code = (
         "import sys\n"
         "import liftedheston.cli\n"
         "import liftedheston\n"
+        "def scipy_loaded():\n"
+        "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "    return 'scipy:' + ','.join(loaded)\n"
         "print(liftedheston.__file__)\n"
-        f"unused = {_UNUSED_SCIPY!r}\n"
-        "print(','.join(sorted(m for m in sys.modules\n"
-        "                     if any(m == u or m.startswith(u + '.') for u in unused))))\n"
+        "print(scipy_loaded())\n"
+        f"for i, args in enumerate({_SCIPY_FREE_RUNS!r}):\n"
+        f"    assert liftedheston.cli.main(args + ['--out', {str(tmp_path)!r} + f'/{{i}}']) == 0\n"
+        "    print(scipy_loaded())\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=child_env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    module_file, loaded = proc.stdout.splitlines()
+    module_file, *lines = proc.stdout.splitlines()
     assert Path(module_file).resolve().parent == pkg
-    assert loaded == "", f"importing the CLI loads {loaded}"
+    loaded = [line for line in lines if line.startswith("scipy:")]
+    assert loaded == ["scipy:"] * (1 + len(_SCIPY_FREE_RUNS)), f"the CLI loads {loaded}"
 
 
 def test_package_imports_only_at_module_level():
