@@ -604,8 +604,8 @@ def main(argv=None) -> int:
         raw.update((k, v) for k, v in vars(args).items() if k in _KEYS and v is not None)
         cfg = build_config(raw)
         handlers[args.command](cfg)
-    except (ValueError, FloatingPointError) as exc:
-        # ConfigError and the library's own input checks alike
+    except (ValueError, FloatingPointError, MemoryError) as exc:
+        # ConfigError, the library's own input checks and oversized runs alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

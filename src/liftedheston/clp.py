@@ -21,23 +21,24 @@ moment generating function cancels the drift correction in closed
 form).  Variance nonnegativity is enforced pathwise by step 2 rather
 than by truncation, which is what keeps large steps honest.
 
-``clp_step`` draws first and blocks second.  It takes the step's
-numbers for all paths in the fixed order -- the normals behind the
-inverse Gaussian, then the uniforms, then the price normals -- so the
-stream advances exactly as in one vectorized pass.  It then advances the
-paths in blocks (``state._path_blocks``), which ``state._run_blocks``
-spreads over one thread per usable CPU.  Each thread reuses two
-(block, N) buffers through ``out=`` ufuncs and ``np.matmul(..., out=)``,
-and a block's slice of the new factor array serves as a third, instead
-of allocating a fresh (paths, N) array per operation.  A block projects
-and clips its slopes in one call to ``_coefficients``, the code behind
-``step_coefficients``, so each element goes through the same operations
-in the same order as in the whole-batch call, BLAS gives each row the
-same bits in a block as in the whole batch, and the diagnostics are
-reduced in block order, so the output is bitwise that of the unblocked
-step on any number of CPUs.  The block
-body calls only numpy and this package's private helpers, and sets the
-numpy error state it needs itself.
+``clp_step`` draws first and blocks second.  It takes the step's numbers
+for all paths in the fixed order -- the normals behind the inverse
+Gaussian, then the uniforms, then the price normals -- so the stream
+advances exactly as in one vectorized pass.  It then advances the paths
+in blocks through ``state._run_blocks``, on one thread per usable CPU.
+Each thread reuses two (block, N) buffers for ``out=`` ufuncs and
+``np.matmul(..., out=)``, and a block's slice of the new factor array
+serves as a third.  A block projects and clips its slopes in one call to
+``_coefficients``, the code behind ``step_coefficients``, writes every
+output row of its paths, g0 and the roundoff clamp included, and returns
+its diagnostics partials; only their fold and the roundoff check on the
+global minimum follow the blocks.  Each element goes through the same
+operations in the same order as in the whole-batch call, BLAS gives each
+row the same bits in a block as in the whole batch, and the partials are
+folded in block order, so the output is bitwise that of the unblocked
+step on any number of CPUs.  The block body calls only numpy and this
+package's private helpers, and sets the numpy error state it needs
+itself.
 
 ``simulate_clp`` runs this step over a grid through the driver in
 ``state.py`` that the Euler baseline shares.
@@ -199,6 +200,7 @@ def clp_step(
     block by block, on as many threads as there are usable CPUs (see the
     module docstring).  ``state`` is not modified.
     """
+    diagnostics = SimDiagnostics() if diagnostics is None else diagnostics
     n = state.n_paths
     normal = stream.normal(n)
     pick = stream.uniform(n)
@@ -232,7 +234,11 @@ def clp_step(
         np.subtract(u, x_hat_factors, out=u_blk)
         u_blk -= (params.lam * x_hat)[:, None]
         u_blk += (params.nu * z_state)[:, None]
-        np.matmul(u_blk, params.omega, out=v_new[lo:hi])
+        v_blk = np.matmul(u_blk, params.omega, out=v_new[lo:hi])
+        v_blk += pre.g0_next
+        lowest = float(np.min(v_blk))
+        negative = v_blk < 0.0
+        v_blk[negative] = 0.0
         log_s_new[lo:hi] = (
             state.log_s[lo:hi]
             + params.rate * pre.dt
@@ -242,8 +248,6 @@ def clp_step(
         )
         np.add(state.x_cum[lo:hi], x_hat, out=x_cum[lo:hi])
         np.add(state.z_cum[lo:hi], z_state, out=z_cum[lo:hi])
-        if diagnostics is None:
-            return None
         live = ~degen
         with np.errstate(invalid="ignore"):
             over = np.max(
@@ -253,6 +257,8 @@ def clp_step(
             )
         value_at_zero = coeffs.c - params.nu * alpha_pos * params.omega_bar / beta_c
         return (
+            lowest,
+            int(np.count_nonzero(negative)),
             int(np.count_nonzero(coeffs.constrained)),
             int(np.count_nonzero(degen)),
             float(np.min(beta_c, initial=np.inf, where=live)),
@@ -260,30 +266,25 @@ def clp_step(
             float(np.min(value_at_zero, initial=np.inf, where=live)),
         )
 
-    partials = _run_blocks(n, block, params.n_states, 2)
-    v_new += pre.g0_next
-    negative = v_new < 0.0
-    n_clamped = 0
-    if np.any(negative):
-        worst = float(np.min(v_new))
-        if worst < -_V_ROUNDOFF:
-            raise FloatingPointError(
-                f"variance {worst:.3e} below the roundoff floor -{_V_ROUNDOFF:.0e}; "
-                f"constraint violated"
-            )
-        n_clamped = int(np.count_nonzero(negative))
-        v_new[negative] = 0.0
-    if diagnostics is not None:
-        # per-block partials in block order, folded as one pass over the blocks would
-        constrained, degenerate, min_beta, max_over, min_at_zero = zip(*partials)
-        diagnostics.total_draws += n
-        diagnostics.constrained_draws += sum(constrained)
-        diagnostics.degenerate_mean_draws += sum(degenerate)
-        diagnostics.min_variance = min(diagnostics.min_variance, float(np.min(v_new)))
-        diagnostics.min_beta = min(diagnostics.min_beta, *min_beta)
-        diagnostics.max_beta_over_limit = max(diagnostics.max_beta_over_limit, *max_over)
-        diagnostics.min_constraint_at_zero = min(diagnostics.min_constraint_at_zero, *min_at_zero)
-        diagnostics.clamped_variance_values += n_clamped
+    # per-block partials in block order, folded as one pass over the blocks would
+    lowest, n_clamped, constrained, degenerate, min_beta, max_over, min_at_zero = zip(
+        *_run_blocks(n, block, params.n_states, 2)
+    )
+    worst = float(np.min(lowest))
+    if worst < -_V_ROUNDOFF:
+        raise FloatingPointError(
+            f"variance {worst:.3e} below the roundoff floor -{_V_ROUNDOFF:.0e}; "
+            f"constraint violated"
+        )
+    diagnostics.total_draws += n
+    diagnostics.constrained_draws += sum(constrained)
+    diagnostics.degenerate_mean_draws += sum(degenerate)
+    # the clamp lifted every negative variance to zero
+    diagnostics.min_variance = min(diagnostics.min_variance, max(worst, 0.0))
+    diagnostics.min_beta = min(diagnostics.min_beta, *min_beta)
+    diagnostics.max_beta_over_limit = max(diagnostics.max_beta_over_limit, *max_over)
+    diagnostics.min_constraint_at_zero = min(diagnostics.min_constraint_at_zero, *min_at_zero)
+    diagnostics.clamped_variance_values += sum(n_clamped)
     return PathState(t=pre.t_end, log_s=log_s_new, u=u_new, v=v_new, x_cum=x_cum, z_cum=z_cum)
 
 

@@ -12,19 +12,20 @@ the fixed values, and the driver integral Z by sqrt(V+) dW2, for use as
 a convergence benchmark against the projection scheme.
 
 ``euler_step`` draws z_perp and then z2 for all paths, as
-``correlated_pair`` does.  It then updates the factors in the same
-explicit scheme regrouped as
+``correlated_pair`` does, and forms each path's increments.  It then
+updates the factors in the same explicit scheme regrouped as
 
     U <- U * (1 - x dt) + (nu dW2 - lam V+ dt),
 
-with the decay computed once per step (N values, tiled to the longest
-block's rows) and the shock once per path, so each block of
-``state._BLOCK`` rows takes two passes, a multiply into the new state
-and one broadcast add, before its product with omega.  Per element
-these are the operations of the whole-batch expression that
-``tests/test_kernels.py`` uses as the oracle, so the bits do not
-depend on the blocking.  The blocks run on the calling
-thread: the body is too light for threads to pay off.
+with the decay computed once per step (N values) and the shock once per
+path.  The paths advance in blocks through ``state._run_blocks``, on one
+thread per usable CPU, as in the projection step.  A block multiplies
+its factor rows into the new state, adds the shock, takes the product
+with omega, adds g0, applies the ABSORPTION rescale, writes its rows of
+the log price and the running integrals, and returns its smallest
+variance.  Per element these are the operations of the whole-batch
+expression that ``tests/test_kernels.py`` uses as the oracle, so the
+bits do not depend on the blocking or on the number of CPUs.
 
 ``simulate_euler`` runs the step over a grid through the driver in
 ``state.py`` that the projection scheme shares.
@@ -38,7 +39,7 @@ import numpy as np
 
 from .params import InitialCurve, ModelParams, g0
 from .sampling import RngStream, correlated_pair
-from .state import PathState, SimDiagnostics, SimOutput, _path_blocks, _simulate
+from .state import PathState, SimDiagnostics, SimOutput, _run_blocks, _simulate
 
 __all__ = ["VarianceFix", "euler_step", "simulate_euler"]
 
@@ -75,6 +76,7 @@ def euler_step(
     dt = t_next - state.t
     if dt <= 0:
         raise ValueError("t_next must exceed the state time")
+    diagnostics = SimDiagnostics() if diagnostics is None else diagnostics
     n = state.n_paths
     v_fix = _fixed(state.v, fix)
     z1, z2 = correlated_pair(stream, params.rho, size=n)
@@ -83,32 +85,33 @@ def euler_step(
     dw2 = sq_dw * z2
     # u + (-x u - lam v+) dt + nu dW2 = u (1 - x dt) + (nu dW2 - lam v+ dt)
     shock = params.nu * dw2 - params.lam * v_fix * dt
+    decay = 1.0 - params.x * dt
+    g0_next = float(g0(t_next, params, curve))
     u_new = np.empty_like(state.u)
     v_new = np.empty(n)
-    blocks = _path_blocks(n)
-    # the decay tiled to the longest block: a contiguous operand multiplies
-    # faster than a row broadcast along only N elements, with the same bits
-    decay = np.tile(1.0 - params.x * dt, (max(hi - lo for lo, hi in blocks), 1))
-    for lo, hi in blocks:
-        u_blk = np.multiply(state.u[lo:hi], decay[: hi - lo], out=u_new[lo:hi])
+    log_s_new = np.empty(n)
+    x_new = np.empty(n)
+    z_new = np.empty(n)
+
+    def block(lo, hi):
+        u_blk = np.multiply(state.u[lo:hi], decay, out=u_new[lo:hi])
         u_blk += shock[lo:hi, None]
-        np.matmul(u_blk, params.omega, out=v_new[lo:hi])
-    g0_next = float(g0(t_next, params, curve))
-    v_new += g0_next
-    if fix is VarianceFix.ABSORPTION:
-        below = v_new < 0.0
-        if np.any(below):
-            # scale the factor vector toward zero until omega.u = -g0;
-            # omega.u < -g0 <= 0 on these paths so the factor is in (0, 1)
-            scale = -g0_next / (v_new[below] - g0_next)
-            u_new[below] *= scale[:, None]
-            v_new[below] = 0.0
-    log_s_new = state.log_s + (params.rate - 0.5 * v_fix) * dt + dw1
-    x_new = state.x_cum + 0.5 * dt * (v_fix + _fixed(v_new, fix))
-    z_new = state.z_cum + dw2
-    if diagnostics is not None:
-        diagnostics.total_draws += n
-        diagnostics.min_variance = min(diagnostics.min_variance, float(np.min(v_new)))
+        v_blk = np.matmul(u_blk, params.omega, out=v_new[lo:hi])
+        v_blk += g0_next
+        if fix is VarianceFix.ABSORPTION:
+            # shrink u until omega.u = -g0; omega.u < -g0 <= 0 here, so the factor is in (0, 1)
+            below = v_blk < 0.0
+            scale = -g0_next / (v_blk[below] - g0_next)
+            u_blk[below] *= scale[:, None]
+            v_blk[below] = 0.0
+        log_s_new[lo:hi] = state.log_s[lo:hi] + (params.rate - 0.5 * v_fix[lo:hi]) * dt + dw1[lo:hi]
+        x_new[lo:hi] = state.x_cum[lo:hi] + 0.5 * dt * (v_fix[lo:hi] + _fixed(v_blk, fix))
+        np.add(state.z_cum[lo:hi], dw2[lo:hi], out=z_new[lo:hi])
+        return float(np.min(v_blk))
+
+    lowest = _run_blocks(n, block, 0, 0)
+    diagnostics.total_draws += n
+    diagnostics.min_variance = min(diagnostics.min_variance, float(np.min(lowest)))
     return PathState(t=t_next, log_s=log_s_new, u=u_new, v=v_new, x_cum=x_new, z_cum=z_new)
 
 

@@ -7,14 +7,15 @@ differ only in how one step advances it, so one driver walks the grid
 for both: it validates the inputs, restarts from a given state, copies
 the state at snapshot times and assembles the output.
 
-The step kernels walk the paths in blocks of a few thousand rows so
-that their (rows, N) work arrays stay in cache; ``_path_blocks`` cuts
-the batch for both schemes.  The projection step runs its blocks through
-``_run_blocks``, which spreads them over one thread per usable CPU; the
-Euler step runs its lighter blocks on the calling thread.  A
-step draws all its random numbers before the blocks start and every row
-goes through the same operations wherever its block runs, so the bits
-do not depend on the number of CPUs.
+Both step kernels advance their paths only through ``_run_blocks``,
+which cuts the batch into blocks of a few thousand rows
+(``_path_blocks``), so that the (rows, N) work arrays stay in cache, and
+spreads them over one thread per usable CPU.  Each block writes every
+output row of its paths and returns its diagnostics partial; the kernel
+folds the partials in block order.  A step draws all its random numbers
+before the blocks start and every row goes through the same operations
+wherever its block runs, so the bits do not depend on the number of
+CPUs.
 
 The driver checks every step's state for non-finite values and raises
 ``FloatingPointError`` at the first, with numpy's floating-point
@@ -59,7 +60,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Threads that share a projection step's blocks, the calling thread
+# Threads that share a step's blocks, the calling thread
 # included; the pool holds the others and starts on first use.  A forked
 # child has none of its parent's threads, so it starts its own pool.
 _WORKERS = _usable_cpus()
@@ -75,29 +76,24 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _path_blocks(n: int, workers: int = 1):
+def _path_blocks(n: int, workers: int):
     """Row ranges ``(lo, hi)`` covering ``n`` paths in order for ``workers`` threads.
 
-    For one thread, blocks hold ``_BLOCK`` rows and the last takes the
-    remainder as well, which keeps a serial kernel's work arrays in
-    cache.  For several, blocks are about twice as long, so that each
-    block's numpy calls outlast the threads' hand-offs of the interpreter
-    lock.  The block count is then the smallest that keeps every block
-    shorter than ``2 * _BLOCK`` rows, raised to a multiple of
+    Blocks are up to twice ``_BLOCK`` rows long, so that each block's
+    numpy calls outlast the threads' hand-offs of the interpreter
+    lock.  The block count is the smallest that keeps every
+    block shorter than ``2 * _BLOCK`` rows, raised to a multiple of
     ``workers`` when every block still holds ``_BLOCK`` rows, so that
     each thread gets as many blocks.  The rows are dealt out in groups
     of 4 as evenly as possible, the later blocks taking the spare groups
     and the last one also the ``n % 4`` rows left over.
 
-    Either way every start is a multiple of 4, there is one block below
+    So every start is a multiple of 4, there is one block below
     ``2 * _BLOCK`` paths, the last block is the longest, and no block is
     shorter than ``min(n, _BLOCK)``.  A short block would change the
     bits: a one-row product goes through numpy's matrix-vector path
     instead of the matrix product.
     """
-    if workers == 1:
-        starts = list(range(0, max(n - _BLOCK, 0) + 1, _BLOCK))
-        return list(zip(starts, starts[1:] + [n]))
     quads, rest = divmod(n, 4)
     count = max(-(-quads // (_BLOCK // 2 - 1)), 1)
     balanced = -(-count // workers) * workers

@@ -312,6 +312,28 @@ def test_extreme_model_values_exit_2_with_one_line(tmp_path, child_env, config, 
     assert not (tmp_path / "out").exists()
 
 
+# each used to exit 1 with a numpy allocation traceback; every size is
+# at least 1e14 doubles (728 TiB), more than any address space holds, so
+# the allocation fails at once however the host overcommits memory
+@pytest.mark.parametrize("config, command", [
+    ("", ["simulate", "--steps", "100000000000000"]),
+    ("", ["simulate", "--paths", "100000000000000"]),
+    ("", ["converge", "--paths", "10", "--steps", "1e-14"]),
+    ("benchmark_steps = 100000000000000\n", ["converge", "--paths", "10"]),
+])
+def test_oversized_runs_exit_2_with_one_line(tmp_path, child_env, config, command):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(config)
+    proc = subprocess.run(
+        [sys.executable, "-m", "liftedheston.cli", *command, "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=child_env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 # a single path has no sample variance: each used to exit 0 after two
 # numpy RuntimeWarning lines (degrees of freedom <= 0, invalid divide)
 @pytest.mark.parametrize("command", [
@@ -344,19 +366,22 @@ def test_one_path_runs_without_warnings(tmp_path, child_env, command):
 def test_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, child_env):
     """Multi-block runs give the same CSV bytes on one CPU as on all of
     them.  Only the child processes are pinned, and both runs use one
-    BLAS thread, so the C-LP step's worker count is what differs."""
+    BLAS thread, so the step kernels' worker count is what differs."""
     one_cpu = min(os.sched_getaffinity(0))
     env = dict(child_env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    for args in (["simulate", "--preset", "set3", "--paths", "20011", "--steps", "3"],
-                 ["vix", "--preset", "set1", "--steps", "13", "--paths", "20011"]):
+    for run, args in enumerate((
+            ["simulate", "--preset", "set3", "--paths", "20011", "--steps", "3"],
+            ["simulate", "--preset", "set3", "--scheme", "euler", "--paths", "20011",
+             "--steps", "3"],
+            ["vix", "--preset", "set1", "--steps", "13", "--paths", "20011"])):
         outputs = []
         for pin in (lambda: os.sched_setaffinity(0, {one_cpu}), None):
-            out = tmp_path / f"{args[0]}-{len(outputs)}"
+            out = tmp_path / f"{run}-{len(outputs)}"
             subprocess.run([sys.executable, "-m", "liftedheston.cli", *args, "--out", str(out)],
                            env=env, preexec_fn=pin, check=True, capture_output=True,
                            timeout=600)
             outputs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
-        assert outputs[0] and outputs[0] == outputs[1], args[0]
+        assert outputs[0] and outputs[0] == outputs[1], args
 
 
 def test_converge_benchmark_reuse_gives_zero_error_rows(tmp_path):

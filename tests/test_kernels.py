@@ -1,8 +1,9 @@
 """Blocked step kernels against unblocked whole-batch reference steps.
 
-``clp_step`` and ``euler_step`` walk the paths in blocks from
-``state._path_blocks``, and ``clp_step`` spreads its blocks over
-``state._WORKERS`` threads.  The references below advance the whole
+``clp_step`` and ``euler_step`` advance the paths only through
+``state._run_blocks``, which cuts them into blocks (``state._path_blocks``)
+and spreads those over ``state._WORKERS`` threads; each block writes
+every output row of its paths.  The references below advance the whole
 batch in one vectorized pass, from the public ``step_coefficients``,
 ``sample_inverse_gaussian`` and ``correlated_pair``;
 they are the oracle, and the kernels must match them bit for bit with
@@ -243,19 +244,21 @@ def test_clp_step_degenerate_paths_in_last_block(set3, curve, monkeypatch, one_t
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("fix", list(VarianceFix))
-def test_euler_step_matches_unblocked_reference(set2, curve, one_thread, fix, n):
+def test_euler_step_matches_unblocked_reference(set2, curve, monkeypatch, one_thread, fix, n):
     # spread states around the curve so that a good share of the paths
     # step below zero variance and ABSORPTION rescales rows in every block
     u = np.random.default_rng(n).normal(scale=0.05, size=(n, set2.n_states))
     state = state_from_rows(u, 0.5, u @ set2.omega + float(g0(0.5, set2, curve)))
-    diag = SimDiagnostics()
-    got = euler_step(state, 0.6, set2, curve, RngStream(4, stream_id=n), diag, fix)
     want, diag_ref = one_thread(reference_euler_step, state, 0.6, set2, curve,
                                 RngStream(4, stream_id=n), fix=fix)
-    assert_same_step(got, want, diag, diag_ref)
+    for workers in WORKERS:
+        monkeypatch.setattr(state_module, "_WORKERS", workers)
+        diag = SimDiagnostics()
+        got = euler_step(state, 0.6, set2, curve, RngStream(4, stream_id=n), diag, fix)
+        assert_same_step(got, want, diag, diag_ref)
     if fix is VarianceFix.ABSORPTION and n >= 2 * _BLOCK:
-        absorbed = np.flatnonzero(got.v == 0.0)
-        assert absorbed.min() < _BLOCK <= absorbed.max()
+        absorbed = np.flatnonzero(want.v == 0.0)
+        assert absorbed.min() < _BLOCK and absorbed.max() >= n - _BLOCK
 
 
 @pytest.mark.parametrize("fix", list(VarianceFix))
@@ -380,13 +383,19 @@ def test_steps_leave_the_input_state_untouched(set1, set2, curve):
 
 
 @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
-def test_clp_step_runs_in_a_forked_child(set1, curve, monkeypatch):
-    """A child forked after the worker threads started gets its own."""
+def test_clp_step_runs_in_a_forked_child(set1, set2, curve, monkeypatch):
+    """A child forked after the worker threads started gets its own, for
+    both kernels."""
     monkeypatch.setattr(state_module, "_WORKERS", 2)
     state = interior_state(set1, curve, MANY, seed=3)
     pre = precompute_step(set1, curve, 1.0, 1.5)
-    want = clp_step(state, pre, set1, RngStream(4))
+    u = np.random.default_rng(3).normal(scale=0.05, size=(MANY, set2.n_states))
+    e_state = state_from_rows(u, 0.5, u @ set2.omega + float(g0(0.5, set2, curve)))
+    steps = ((clp_step, (state, pre, set1)), (euler_step, (e_state, 0.6, set2, curve)))
+    wants = [step(*args, RngStream(4)) for step, args in steps]
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        got = pool.apply_async(clp_step, (state, pre, set1, RngStream(4))).get(timeout=120)
-    for name in FIELDS:
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        gots = [pool.apply_async(step, (*args, RngStream(4))).get(timeout=120)
+                for step, args in steps]
+    for got, want in zip(gots, wants):
+        for name in FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -143,7 +143,7 @@ def test_path_blocks_layout(workers):
         assert all(lo % 4 == 0 for lo in starts), n
         assert min(sizes) >= min(n, _BLOCK), n
         assert max(sizes) < 2 * _BLOCK, n
-        # the Euler step sizes its one buffer by the last block
+        # the last block is the longest, as the docstring promises
         assert sizes[-1] == max(sizes), n
         if n < 2 * _BLOCK:
             assert len(blocks) == 1, n
