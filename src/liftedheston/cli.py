@@ -417,17 +417,22 @@ def cmd_converge(cfg: ExperimentConfig) -> None:
     dts = cfg.steps_list if cfg.steps_list is not None else (5.0, 2.15, 1.0, 0.5)
     t_end = cfg.t_end if cfg.t_end is not None else 5.0
     bench_grid = np.linspace(params.t0, t_end, cfg.benchmark_steps + 1)
+    bench_dt = (t_end - params.t0) / cfg.benchmark_steps
+    # every grid before the benchmark runs, so that a grid too large to hold fails at once
+    grids = [
+        None if cfg.scheme == "euler" and abs(dt - bench_dt) < 1e-12
+        else build_grid(params.t0, t_end, dt)
+        for dt in dts
+    ]
     bench_cfg = replace(cfg, scheme="euler")
     bench = _run_scheme(bench_cfg, bench_grid, RngStream(cfg.seed, stream_id=_STREAM_BENCHMARK))
     bsum = bench.summary()
 
     rows = []
-    bench_dt = (t_end - params.t0) / cfg.benchmark_steps
-    for j, dt in enumerate(dts):
-        if cfg.scheme == "euler" and abs(dt - bench_dt) < 1e-12:
+    for j, (dt, grid) in enumerate(zip(dts, grids)):
+        if grid is None:
             out = bench
         else:
-            grid = build_grid(params.t0, t_end, dt)
             out = _run_scheme(cfg, grid, RngStream(cfg.seed, stream_id=_STREAM_SWEEP_BASE + j))
         s = out.summary()
         if out is bench:

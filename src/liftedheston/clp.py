@@ -25,7 +25,9 @@ than by truncation, which is what keeps large steps honest.
 for all paths in the fixed order -- the normals behind the inverse
 Gaussian, then the uniforms, then the price normals -- so the stream
 advances exactly as in one vectorized pass.  It then advances the paths
-in blocks through ``state._run_blocks``, on one thread per usable CPU.
+in blocks through ``state._run_blocks``, on one thread per usable CPU;
+under ``simulate_clp`` the calling thread meanwhile draws the next
+step's numbers, with the same calls.
 Each thread reuses two (block, N) buffers for ``out=`` ufuncs and
 ``np.matmul(..., out=)``, and a block's slice of the new factor array
 serves as a third.  A block projects and clips its slopes in one call to
@@ -197,8 +199,9 @@ def clp_step(
     whenever the constraint constant c is positive.
 
     The draws of all paths are taken first; the paths are then advanced
-    block by block, on as many threads as there are usable CPUs (see the
-    module docstring).  ``state`` is not modified.
+    block by block, on as many threads as there are usable CPUs, while
+    the stream of a ``simulate_clp`` run draws the next step's numbers
+    (see the module docstring).  ``state`` is not modified.
     """
     diagnostics = SimDiagnostics() if diagnostics is None else diagnostics
     n = state.n_paths
@@ -207,9 +210,10 @@ def clp_step(
     z_price = stream.normal(n)
     u_new = np.empty_like(state.u)
     v_new = np.empty(n)
-    log_s_new = np.empty(n)
-    x_cum = np.empty(n)
-    z_cum = np.empty(n)
+    # a block reads its rows of the draws before it writes these rows, so
+    # the outputs take over the draws' storage, and a step holds no more
+    # memory while the next step's numbers are drawn
+    log_s_new, x_cum, z_cum = z_price, normal, pick
     rho = params.rho
 
     def block(lo, hi, alpha_factors, ratio):
@@ -268,7 +272,7 @@ def clp_step(
 
     # per-block partials in block order, folded as one pass over the blocks would
     lowest, n_clamped, constrained, degenerate, min_beta, max_over, min_at_zero = zip(
-        *_run_blocks(n, block, params.n_states, 2)
+        *_run_blocks(n, block, params.n_states, 2, getattr(stream, "ahead", None))
     )
     worst = float(np.min(lowest))
     if worst < -_V_ROUNDOFF:

@@ -12,20 +12,26 @@ the fixed values, and the driver integral Z by sqrt(V+) dW2, for use as
 a convergence benchmark against the projection scheme.
 
 ``euler_step`` draws z_perp and then z2 for all paths, as
-``correlated_pair`` does, and forms each path's increments.  It then
-updates the factors in the same explicit scheme regrouped as
+``correlated_pair`` does, and combines them into the price normals.  It
+then updates the factors in the same explicit scheme regrouped as
 
     U <- U * (1 - x dt) + (nu dW2 - lam V+ dt),
 
 with the decay computed once per step (N values) and the shock once per
 path.  The paths advance in blocks through ``state._run_blocks``, on one
-thread per usable CPU, as in the projection step.  A block multiplies
-its factor rows into the new state, adds the shock, takes the product
-with omega, adds g0, applies the ABSORPTION rescale, writes its rows of
-the log price and the running integrals, and returns its smallest
-variance.  Per element these are the operations of the whole-batch
-expression that ``tests/test_kernels.py`` uses as the oracle, so the
-bits do not depend on the blocking or on the number of CPUs.
+thread per usable CPU, as in the projection step; under
+``simulate_euler`` the calling thread draws the next step's normals
+while they run.  A block forms its paths' fixed variance, increments
+and shock, multiplies its factor rows into the new state, adds the
+shock, takes the product with omega, adds g0, applies the ABSORPTION
+rescale, writes its rows of the log price and the running integrals,
+and returns its smallest variance.  The new factor array is
+column-major, so that the two passes run along contiguous columns of
+the block instead of broadcasting along rows N values long; the input
+may have either layout.  Per element these are the operations of the
+whole-batch expression that ``tests/test_kernels.py`` uses as the
+oracle, with its product taken on a column-major copy, so the bits do
+not depend on the blocking or on the number of CPUs.
 
 ``simulate_euler`` runs the step over a grid through the driver in
 ``state.py`` that the projection scheme shares.
@@ -78,24 +84,25 @@ def euler_step(
         raise ValueError("t_next must exceed the state time")
     diagnostics = SimDiagnostics() if diagnostics is None else diagnostics
     n = state.n_paths
-    v_fix = _fixed(state.v, fix)
     z1, z2 = correlated_pair(stream, params.rho, size=n)
-    sq_dw = np.sqrt(v_fix * dt)
-    dw1 = sq_dw * z1
-    dw2 = sq_dw * z2
-    # u + (-x u - lam v+) dt + nu dW2 = u (1 - x dt) + (nu dW2 - lam v+ dt)
-    shock = params.nu * dw2 - params.lam * v_fix * dt
     decay = 1.0 - params.x * dt
     g0_next = float(g0(t_next, params, curve))
-    u_new = np.empty_like(state.u)
+    # column-major, so that the decay and the shock run along contiguous columns
+    u_new = np.empty(state.u.shape, order="F")
     v_new = np.empty(n)
-    log_s_new = np.empty(n)
     x_new = np.empty(n)
-    z_new = np.empty(n)
+    # a block reads its rows of the normals before it writes these rows, as in clp_step
+    log_s_new, z_new = z1, z2
 
     def block(lo, hi):
+        v_fix = _fixed(state.v[lo:hi], fix)
+        sq_dw = np.sqrt(v_fix * dt)
+        dw1 = sq_dw * z1[lo:hi]
+        dw2 = sq_dw * z2[lo:hi]
+        # u + (-x u - lam v+) dt + nu dW2 = u (1 - x dt) + (nu dW2 - lam v+ dt)
+        shock = params.nu * dw2 - params.lam * v_fix * dt
         u_blk = np.multiply(state.u[lo:hi], decay, out=u_new[lo:hi])
-        u_blk += shock[lo:hi, None]
+        u_blk += shock[:, None]
         v_blk = np.matmul(u_blk, params.omega, out=v_new[lo:hi])
         v_blk += g0_next
         if fix is VarianceFix.ABSORPTION:
@@ -104,12 +111,12 @@ def euler_step(
             scale = -g0_next / (v_blk[below] - g0_next)
             u_blk[below] *= scale[:, None]
             v_blk[below] = 0.0
-        log_s_new[lo:hi] = state.log_s[lo:hi] + (params.rate - 0.5 * v_fix[lo:hi]) * dt + dw1[lo:hi]
-        x_new[lo:hi] = state.x_cum[lo:hi] + 0.5 * dt * (v_fix[lo:hi] + _fixed(v_blk, fix))
-        np.add(state.z_cum[lo:hi], dw2[lo:hi], out=z_new[lo:hi])
+        log_s_new[lo:hi] = state.log_s[lo:hi] + (params.rate - 0.5 * v_fix) * dt + dw1
+        x_new[lo:hi] = state.x_cum[lo:hi] + 0.5 * dt * (v_fix + _fixed(v_blk, fix))
+        np.add(state.z_cum[lo:hi], dw2, out=z_new[lo:hi])
         return float(np.min(v_blk))
 
-    lowest = _run_blocks(n, block, 0, 0)
+    lowest = _run_blocks(n, block, 0, 0, getattr(stream, "ahead", None))
     diagnostics.total_draws += n
     diagnostics.min_variance = min(diagnostics.min_variance, float(np.min(lowest)))
     return PathState(t=t_next, log_s=log_s_new, u=u_new, v=v_new, x_cum=x_new, z_cum=z_new)

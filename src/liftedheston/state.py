@@ -12,10 +12,12 @@ which cuts the batch into blocks of a few thousand rows
 (``_path_blocks``), so that the (rows, N) work arrays stay in cache, and
 spreads them over one thread per usable CPU.  Each block writes every
 output row of its paths and returns its diagnostics partial; the kernel
-folds the partials in block order.  A step draws all its random numbers
-before the blocks start and every row goes through the same operations
-wherever its block runs, so the bits do not depend on the number of
-CPUs.
+folds the partials in block order.  A step's random numbers are all
+drawn before its blocks start: the driver hands the kernels its stream
+through ``_DrawAhead``, which draws the next step's numbers on the
+calling thread while the current step's blocks run, with the same calls
+in the same order.  Every row goes through the same operations wherever
+its block runs, so the bits do not depend on the number of CPUs.
 
 The driver checks every step's state for non-finite values and raises
 ``FloatingPointError`` at the first, with numpy's floating-point
@@ -30,6 +32,7 @@ samples.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -107,42 +110,118 @@ def _path_blocks(n: int, workers: int):
     return list(zip(bounds, bounds[1:]))
 
 
-def _run_blocks(n: int, body, width: int, buffers: int) -> list:
-    """``body(lo, hi, *scratch)`` for each block of ``n`` paths, in block order.
+def _run_blocks(n: int, body, width: int, buffers: int, ahead=None) -> list:
+    """``body(lo, hi, *scratch)`` for each block of ``n`` paths; the results in block order.
 
-    The blocks are cut for ``_WORKERS`` threads, and each thread, at
-    most one per block, takes an equal run of consecutive blocks.  The
-    calling thread takes the first run itself, so with one CPU or one
-    block no thread starts.  Each run owns ``buffers`` (rows, width)
+    The blocks are cut for ``_WORKERS`` threads, and at most one thread
+    per block runs them, the calling thread included, so with one CPU or
+    one block no thread starts.  The threads claim the blocks in block
+    order from a shared counter, so a thread that is held up leaves its
+    blocks to the others.  Each thread owns ``buffers`` (rows, width)
     scratch arrays, which ``body`` receives cut to its block's rows, and
-    executes in a copy of the caller's context, numpy's error state
-    included.  Returns the per-block results in block order.  A run
-    stops at its first exception; once every run has ended, the first
-    exception in block order is raised.
+    the pool's threads run in a copy of the caller's context, numpy's
+    error state included.  ``ahead()``, if given, runs once on the
+    calling thread after the other threads have started and before it
+    claims a block.
+
+    After a block's exception no block is claimed.  Blocks are claimed in
+    order, so every block before the failed one runs to its end, and once
+    every thread has ended, the first exception in block order is raised:
+    the one a serial loop over the blocks would meet.  An exception of
+    ``ahead`` also stops the claims, and is raised once the other
+    threads have ended.
     """
     global _pool
     blocks = _path_blocks(n, _WORKERS)
     workers = min(_WORKERS, len(blocks))
+    rows = max(hi - lo for lo, hi in blocks)
+    results = [None] * len(blocks)
+    errors = [None] * len(blocks)
+    claims = itertools.count()  # next() on it is atomic under the interpreter lock
+    failed = False
 
-    def run(share):
-        rows = max(hi - lo for lo, hi in share)
+    def run():
+        nonlocal failed
         scratch = [np.empty((rows, width)) for _ in range(buffers)]
-        return [body(lo, hi, *(a[: hi - lo] for a in scratch)) for lo, hi in share]
+        while not failed:
+            i = next(claims)
+            if i >= len(blocks):
+                return
+            lo, hi = blocks[i]
+            try:
+                results[i] = body(lo, hi, *(a[: hi - lo] for a in scratch))
+            except BaseException as exc:  # raised on the calling thread below
+                errors[i] = exc
+                failed = True
 
-    if workers == 1:
-        return run(blocks)
-    runs = [blocks[i * len(blocks) // workers:(i + 1) * len(blocks) // workers]
-            for i in range(workers)]
-    if _pool is None:
-        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="liftedheston")
-    futures = [_pool.submit(contextvars.copy_context().run, run, share) for share in runs[1:]]
+    futures = []
+    if workers > 1:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="liftedheston")
+        futures = [_pool.submit(contextvars.copy_context().run, run) for _ in range(workers - 1)]
     try:
-        results = run(runs[0])
+        if ahead is not None:
+            ahead()
+        run()
+    except BaseException:
+        failed = True
+        raise
     finally:
         wait(futures)
     for future in futures:
-        results += future.result()
+        future.result()
+    for error in errors:
+        if error is not None:
+            raise error
     return results
+
+
+class _DrawAhead:
+    """The run's stream, with each step's numbers drawn during the step before.
+
+    A step draws through ``normal`` and ``uniform`` as from the
+    ``RngStream``.  The arrays drawn ahead for it come back in call order,
+    and with none drawn the call goes to the stream.  ``ahead()``, which
+    a kernel hands to ``_run_blocks``, makes the current step's calls
+    again, for the next step, unless ``start_step`` said that the current
+    step is the last.  So the stream meets the calls, sizes and order it
+    would meet without look-ahead, all on the calling thread, and none
+    after the last step: a completed run leaves it where a run that
+    draws each step's numbers in the step leaves it.
+    """
+
+    def __init__(self, stream: RngStream):
+        self._stream = stream
+        self._calls: list[tuple[str, object]] = []
+        self._drawn: list[tuple[str, object, np.ndarray]] = []
+        self._pending = False
+
+    def start_step(self, last: bool) -> None:
+        self._calls = []
+        self._pending = not last
+
+    def _take(self, kind: str, size):
+        self._calls.append((kind, size))
+        if not self._drawn:
+            return getattr(self._stream, kind)(size)
+        drawn_kind, drawn_size, numbers = self._drawn.pop(0)
+        if (drawn_kind, drawn_size) != (kind, size):
+            raise RuntimeError(
+                f"step drew {kind}({size}) where the step before drew {drawn_kind}({drawn_size})"
+            )
+        return numbers
+
+    def normal(self, size=None):
+        return self._take("normal", size)
+
+    def uniform(self, size=None):
+        return self._take("uniform", size)
+
+    def ahead(self) -> None:
+        if self._pending:
+            self._pending = False
+            self._drawn = [(kind, size, getattr(self._stream, kind)(size))
+                           for kind, size in self._calls]
 
 
 @dataclass
@@ -248,9 +327,10 @@ def _simulate(
     """Advance all paths over the grid with ``step``; see ``simulate_clp``.
 
     ``step(state, t, t_next, stream, diagnostics)`` returns the state at
-    ``t_next``.  The grid starts at t0, or at the time of ``initial``
-    when restarting; snapshots are ``PathState`` copies, so one can be
-    passed back as ``initial``.
+    ``t_next``; ``stream`` is the run's stream behind a ``_DrawAhead``.
+    The grid starts at t0, or at the time of ``initial`` when
+    restarting; snapshots are ``PathState`` copies, so one can be passed
+    back as ``initial``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -273,15 +353,16 @@ def _simulate(
     for t_snap in snapshot_times:
         if not np.any(np.abs(grid - t_snap) <= 1e-12):
             raise ValueError(f"snapshot time {t_snap} is not a grid point")
-    stream = seed if isinstance(seed, RngStream) else RngStream(int(seed))
+    draws = _DrawAhead(seed if isinstance(seed, RngStream) else RngStream(int(seed)))
 
     diagnostics = SimDiagnostics(scheme=scheme, n_paths=n_paths, n_steps=grid.size - 1)
     snapshots: dict[float, PathState] = {}
     ever_negative = np.zeros(n_paths, dtype=bool)
     for i in range(grid.size):
         if i > 0:
+            draws.start_step(last=i == grid.size - 1)
             with np.errstate(all="ignore"):
-                state = step(state, float(grid[i - 1]), float(grid[i]), stream, diagnostics)
+                state = step(state, float(grid[i - 1]), float(grid[i]), draws, diagnostics)
             _check_finite(state)
             ever_negative |= state.v < 0.0
         for t_snap in snapshot_times:

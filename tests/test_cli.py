@@ -334,6 +334,21 @@ def test_oversized_runs_exit_2_with_one_line(tmp_path, child_env, config, comman
     assert not (tmp_path / "out").exists()
 
 
+def test_converge_fails_on_its_sweep_grid_before_the_benchmark(tmp_path, monkeypatch, capsys):
+    """A sweep step whose grid cannot be held ends the command before the
+    1,000-step Euler benchmark runs (it used to run first, for 11.8 s)."""
+
+    def benchmark(*args, **kwargs):
+        raise AssertionError("the Euler benchmark ran")
+
+    monkeypatch.setattr(liftedheston.cli, "simulate_euler", benchmark)
+    code, out = run_cli(["converge", "--steps", "1e-14", "--paths", "100000"], tmp_path, "out")
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not out.exists()
+
+
 # a single path has no sample variance: each used to exit 0 after two
 # numpy RuntimeWarning lines (degrees of freedom <= 0, invalid divide)
 @pytest.mark.parametrize("command", [

@@ -1,15 +1,18 @@
 """Blocked step kernels against unblocked whole-batch reference steps.
 
-``clp_step`` and ``euler_step`` advance the paths only through
+``clp_step`` and ``euler_step`` take a step's numbers from the stream
+before its blocks start and advance the paths only through
 ``state._run_blocks``, which cuts them into blocks (``state._path_blocks``)
 and spreads those over ``state._WORKERS`` threads; each block writes
-every output row of its paths.  The references below advance the whole
+every output row of its paths.  Called on a plain ``RngStream``, as
+here, they draw nothing ahead; the look-ahead of the simulation driver
+is tested in ``test_state.py``.  The references below advance the whole
 batch in one vectorized pass, from the public ``step_coefficients``,
 ``sample_inverse_gaussian`` and ``correlated_pair``;
 they are the oracle, and the kernels must match them bit for bit with
 one, two or three workers.  The first block and the last hold at least
-``_BLOCK`` rows, so rows below ``_BLOCK`` fall in the first worker's
-share and rows from ``n - _BLOCK`` on in the last worker's.
+``_BLOCK`` rows, so rows below ``_BLOCK`` fall in the first block and
+rows from ``n - _BLOCK`` on in the last.
 
 The references run in a spawned child with one BLAS thread, the kernels
 in this process.  OpenBLAS gives the last ``n % 4`` rows of each of its
@@ -18,9 +21,11 @@ product is exact at every size only on one thread; the kernels' blocks
 start on multiples of 4 and keep their bits on any thread count.
 
 The Euler oracle is the two-pass update u (1 - x dt) + (nu dW2 - lam v+ dt)
-that the kernel runs.  The six-pass expression it replaced,
-(u + (-u x - lam v+) dt) + nu dW2, stays below as ``six_pass_update``, and
-the kernel must agree with it to a few ulps of the terms.
+that the kernel runs, with the product with omega taken on a
+column-major copy of the new factors, the layout the kernel writes.  The
+six-pass expression it replaced, (u + (-u x - lam v+) dt) + nu dW2,
+stays below as ``six_pass_update``, and the kernel must agree with it to
+a few ulps of the terms.
 """
 
 import dataclasses
@@ -176,7 +181,8 @@ def reference_euler_step(state, t_next, params, curve, stream, diagnostics=None,
     sq_dw = np.sqrt(v_fix * dt)
     dw1 = sq_dw * z1
     dw2 = sq_dw * z2
-    u_new = update(state.u, v_fix, dw2, params, dt)
+    # column-major, as the kernel writes it: that sets the bits of the product with omega
+    u_new = np.asfortranarray(update(state.u, v_fix, dw2, params, dt))
     g0_next = float(g0(t_next, params, curve))
     v_new = u_new @ params.omega + g0_next
     if fix is VarianceFix.ABSORPTION:
@@ -223,8 +229,7 @@ def test_clp_step_matches_unblocked_reference(request, monkeypatch, one_thread, 
 
 
 def test_clp_step_degenerate_paths_in_last_block(set3, curve, monkeypatch, one_thread):
-    """Degenerate rows in the last block and in the first, so in the
-    first worker's share and in the last worker's."""
+    """Degenerate rows in the last block and in the first."""
     pre = precompute_step(set3, curve, 0.0, 2.15)
     u_bad, _, _ = degenerate_state(set3, pre)
     n = MANY
@@ -259,6 +264,24 @@ def test_euler_step_matches_unblocked_reference(set2, curve, monkeypatch, one_th
     if fix is VarianceFix.ABSORPTION and n >= 2 * _BLOCK:
         absorbed = np.flatnonzero(want.v == 0.0)
         assert absorbed.min() < _BLOCK and absorbed.max() >= n - _BLOCK
+
+
+@pytest.mark.parametrize("fix", list(VarianceFix))
+def test_euler_step_bits_do_not_depend_on_the_state_layout(set2, curve, monkeypatch, fix):
+    """The kernel writes its factors column-major; a row-major state, as
+    at t0 or from a snapshot, steps to the same bits as its
+    column-major copy."""
+    monkeypatch.setattr(state_module, "_WORKERS", 2)
+    n = 2 * _BLOCK + 37
+    u = np.random.default_rng(6).normal(scale=0.05, size=(n, set2.n_states))
+    rows = state_from_rows(u, 0.5, u @ set2.omega + float(g0(0.5, set2, curve)))
+    columns = dataclasses.replace(rows, u=np.asfortranarray(u))
+    assert rows.u.flags.c_contiguous and columns.u.flags.f_contiguous
+    got = [euler_step(state, 0.6, set2, curve, RngStream(3), SimDiagnostics(), fix)
+           for state in (rows, columns)]
+    assert all(step.u.flags.f_contiguous for step in got)
+    for name in FIELDS:
+        assert np.array_equal(getattr(got[0], name), getattr(got[1], name)), name
 
 
 @pytest.mark.parametrize("fix", list(VarianceFix))
@@ -307,9 +330,9 @@ def test_euler_terminal_mean_agrees_with_six_pass_update(set3, curve, monkeypatc
 
 
 def test_constraint_error_names_first_bad_path_globally(set3, curve, monkeypatch):
-    """Bad rows in the first, the middle and the last of three workers'
-    shares: the error names the first bad path, whichever worker meets
-    its bad row first."""
+    """Bad rows in the first, a middle and the last of six blocks: the
+    error names the first bad path, whichever thread meets its bad row
+    first."""
     pre = precompute_step(set3, curve, 0.0, 2.15)
     n = MANY
     rows = (_BLOCK - 17, n // 2, n - 3)
@@ -354,7 +377,7 @@ def test_roundoff_error_reports_global_minimum(set1, curve, monkeypatch, one_thr
             clp_step(state, pre, set1, RngStream(6))
         assert str(got.value) == str(want.value)
     # with the floor lifted, paths clamp in the first and the last
-    # worker's share, and the clamp counts agree with the reference
+    # block, and the clamp counts agree with the reference
     patches.append(("_V_ROUNDOFF", np.inf))
     monkeypatch.setattr(clp, "_V_ROUNDOFF", np.inf)
     ref, diag_ref = one_thread(reference_clp_step, state, pre, set1, RngStream(6),

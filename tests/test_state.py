@@ -1,6 +1,8 @@
 """State containers, summary statistics and their standard errors."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -11,11 +13,15 @@ from liftedheston import (
     RngStream,
     SimDiagnostics,
     mean_se,
+    clp_step,
+    euler_step,
+    precompute_step,
     simulate_clp,
     simulate_euler,
     variance_se,
 )
-from liftedheston.state import _BLOCK, _path_blocks
+from liftedheston import state as state_module
+from liftedheston.state import _BLOCK, _path_blocks, _run_blocks
 
 
 def test_initial_state_layout(set1):
@@ -150,3 +156,119 @@ def test_path_blocks_layout(workers):
         if len(blocks) * _BLOCK <= n - workers * _BLOCK:
             # room for another round of blocks, so each worker got as many
             assert len(blocks) % workers == 0, n
+
+
+# each step's calls on the stream: the inverse Gaussian's normal and
+# uniform and the price normal, or Euler's z_perp and z2
+_STEP_CALLS = {simulate_clp: ("normal", "uniform", "normal"), simulate_euler: ("normal", "normal")}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("simulate", [simulate_clp, simulate_euler])
+def test_completed_run_leaves_the_stream_where_stepping_does(set1, curve, monkeypatch,
+                                                             simulate, workers):
+    """The driver draws each step's numbers during the step before, but
+    not after the last step: the run gives the bits of calling the step
+    kernels one by one on a plain stream, and leaves its stream where a
+    fresh stream that made the same calls stands."""
+    monkeypatch.setattr(state_module, "_WORKERS", workers)
+    n, grid = 2 * _BLOCK + 37, [0.0, 0.1, 0.25, 0.5]
+    stream = RngStream(17)
+    out = simulate(set1, curve, grid, n, stream)
+
+    plain = RngStream(17)
+    state = PathState.initial(set1, n)
+    for t, t_next in zip(grid, grid[1:]):
+        if simulate is simulate_clp:
+            state = clp_step(state, precompute_step(set1, curve, t, t_next), set1, plain)
+        else:
+            state = euler_step(state, t_next, set1, curve, plain)
+    for got, want in ((out.v, state.v), (out.x, state.x_cum), (out.z, state.z_cum)):
+        assert np.array_equal(got, want)
+
+    fresh = RngStream(17)
+    for _ in grid[1:]:
+        for kind in _STEP_CALLS[simulate]:
+            getattr(fresh, kind)(n)
+    want = fresh.normal(9)
+    assert np.array_equal(stream.normal(9), want) and np.array_equal(plain.normal(9), want)
+
+
+@pytest.mark.parametrize("simulate", [simulate_clp, simulate_euler])
+def test_restart_over_several_blocks_is_bitwise(set1, curve, monkeypatch, simulate):
+    """As above, with the paths cut into blocks on two threads; an Euler
+    snapshot is a row-major copy of the column-major state."""
+    monkeypatch.setattr(state_module, "_WORKERS", 2)
+    n, grid = 2 * _BLOCK + 37, [0.0, 0.25, 0.5, 0.75, 1.0]
+    full = simulate(set1, curve, grid, n, RngStream(13), snapshot_times=(1.0,))
+    stream = RngStream(13)
+    snap = simulate(set1, curve, grid[:3], n, stream, snapshot_times=(0.5,)).snapshots[0.5]
+    leg2 = simulate(set1, curve, grid[2:], n, stream, snapshot_times=(1.0,), initial=snap)
+    for name in ("log_s", "u", "v", "x_cum", "z_cum"):
+        assert np.array_equal(getattr(leg2.snapshots[1.0], name),
+                              getattr(full.snapshots[1.0], name)), name
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_blocks_runs_ahead_once_on_the_calling_thread(monkeypatch, workers):
+    monkeypatch.setattr(state_module, "_WORKERS", workers)
+    n = 7 * _BLOCK + 39
+    ahead = []
+    got = _run_blocks(n, lambda lo, hi, a, b: (lo, hi, a.shape, b.shape), 3, 2,
+                      ahead=lambda: ahead.append(threading.current_thread()))
+    assert ahead == [threading.current_thread()]
+    assert got == [(lo, hi, (hi - lo, 3), (hi - lo, 3)) for lo, hi in _path_blocks(n, workers)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_blocks_raises_the_first_failure_in_block_order(monkeypatch, workers):
+    """Block 1 fails only after the last block has failed, on another
+    thread; the error of block 1 is the one raised.  On one thread the
+    blocks after block 1 are not run."""
+    monkeypatch.setattr(state_module, "_WORKERS", workers)
+    n = 7 * _BLOCK + 39
+    blocks = _path_blocks(n, workers)
+    last = len(blocks) - 1
+    last_failed = threading.Event()
+    ran = []
+
+    def body(lo, hi):
+        i = blocks.index((lo, hi))
+        ran.append(i)
+        if i == last:
+            last_failed.set()
+            raise ValueError(f"block {i}")
+        if i == 1:
+            if workers > 1:
+                assert last_failed.wait(timeout=60)
+            raise ValueError("block 1")
+        return i
+
+    with pytest.raises(ValueError, match="^block 1$"):
+        _run_blocks(n, body, 0, 0)
+    assert sorted(ran) == (list(range(len(blocks))) if workers > 1 else [0, 1])
+
+
+def test_run_blocks_claims_each_block_once_under_contention(monkeypatch):
+    """Eight threads on a short switch interval: every block runs once
+    and the results stay in block order."""
+    monkeypatch.setattr(state_module, "_WORKERS", 8)
+    monkeypatch.setattr(state_module, "_pool", None)
+    n = 40 * _BLOCK
+    starts = [lo for lo, _ in _path_blocks(n, 8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            seen = []
+
+            def body(lo, hi):
+                seen.append(lo)
+                return lo
+
+            assert _run_blocks(n, body, 0, 0, ahead=lambda: None) == starts
+            assert sorted(seen) == starts
+    finally:
+        sys.setswitchinterval(interval)
+        if state_module._pool is not None:
+            state_module._pool.shutdown()
