@@ -22,7 +22,6 @@ from .params import (
 )
 from .pricing import (
     PriceQuote,
-    VixSpec,
     black76_price,
     implied_vol_black,
     price_european,
@@ -44,7 +43,6 @@ __all__ = [
     "SimOutput",
     "StepPrecompute",
     "VarianceFix",
-    "VixSpec",
     "black76_price",
     "build_drift_matrix",
     "clp_step",

@@ -29,7 +29,7 @@ from .clp import simulate_clp, step_coefficients
 from .euler import VarianceFix, simulate_euler
 from .numerics import precompute_step
 from .params import InitialCurve, ModelParams
-from .pricing import VixSpec, implied_vol_black, price_european, vix_from_state
+from .pricing import implied_vol_black, price_european, vix_from_state
 from .sampling import RngStream
 from .state import PathState, SimOutput, mean_se
 
@@ -73,6 +73,13 @@ _CSV_CHUNK = 8192  # samples.csv lines formatted per write
 
 _SENS_WINDOW = 0.5
 _SENS_EULER_STEPS = 500
+
+# the vix contract: observed _VIX_T after t0, over the following
+# _VIX_HORIZON, struck at these multiples of the simulated forward
+_VIX_T = 1.0
+_VIX_HORIZON = 1.0 / 12.0
+_VIX_MONEYNESS = (0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0, 1.05, 1.1, 1.15, 1.2, 1.25, 1.3)
+
 # the parameters `sensitivity` can bump, with their default bumps
 _DEFAULT_BUMPS = (
     ("lam", 1e-3), ("nu", 1e-3), ("v0", 1e-3), ("theta", 1e-3), ("hurst", 1e-3), ("n_states", 1.0)
@@ -534,16 +541,15 @@ def cmd_vix(cfg: ExperimentConfig) -> None:
     or above).
     A NaN implied vol marks a quote outside the invertible range.
     """
-    spec = VixSpec()
     params = cfg.build_params()
     curve = cfg.build_curve()
     steps = _step_counts(cfg, (13, 26, 39, 78))
     if steps is None or any(count % 13 for count in steps):
         raise ConfigError("vix steps must be positive multiples of 13")
 
-    # the option matures spec.t after t0; the model clock reads t0 + spec.t
-    t_obs = params.t0 + spec.t
-    horizon_end = t_obs + spec.horizon
+    # the option matures _VIX_T after t0; the model clock reads t0 + _VIX_T
+    t_obs = params.t0 + _VIX_T
+    horizon_end = t_obs + _VIX_HORIZON
     out_dir = Path(cfg.out_dir)
     summary_rows = []
     for j, count in enumerate(steps):
@@ -552,24 +558,24 @@ def cmd_vix(cfg: ExperimentConfig) -> None:
             cfg, grid, RngStream(cfg.seed, stream_id=_STREAM_VIX_BASE + j), snapshot_times=(t_obs,)
         )
         snap = out.snapshots[t_obs]
-        vix, clamped = vix_from_state(snap.u, t_obs, params, curve, spec.horizon)
+        vix, clamped = vix_from_state(snap.u, t_obs, params, curve, _VIX_HORIZON)
         neg_paths = out.diagnostics.negative_variance_paths
         forward, forward_se = mean_se(vix)
         rows = []
-        for m in spec.moneyness:
-            strike = float(m) * forward
+        for m in _VIX_MONEYNESS:
+            strike = m * forward
             kind = "put" if strike < forward else "call"
-            quote = price_european(vix, strike, spec.t, params.rate, kind)
-            vol = implied_vol_black(quote.price, forward, strike, spec.t, params.rate, kind)
+            quote = price_european(vix, strike, _VIX_T, params.rate, kind)
+            vol = implied_vol_black(quote.price, forward, strike, _VIX_T, params.rate, kind)
             rows.append(dict(
-                scheme=cfg.scheme, n_steps=count, moneyness=float(m), strike=strike, kind=kind,
+                scheme=cfg.scheme, n_steps=count, moneyness=m, strike=strike, kind=kind,
                 price=quote.price, price_se=quote.std_err, implied_vol=vol,
                 negative_variance_paths=neg_paths,
             ))
         _write_rows(out_dir / f"vix_smile_{cfg.scheme}_{count}.csv", rows)
         # tower identity: mean squared VIX times the horizon should match
         # the mean simulated continuation of integrated variance
-        vix2_mean, vix2_se = mean_se(vix**2 * spec.horizon)
+        vix2_mean, vix2_se = mean_se(vix**2 * _VIX_HORIZON)
         cont_mean, cont_se = mean_se(out.x - snap.x_cum)
         summary_rows.append(dict(
             scheme=cfg.scheme, n_steps=count, dt=float(grid[1] - grid[0]),

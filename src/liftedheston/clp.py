@@ -314,4 +314,4 @@ def simulate_clp(
         pre = precompute_step(params, curve, t, t_next)
         return clp_step(state, pre, params, stream, diagnostics)
 
-    return _simulate(step, "clp", params, grid, n_paths, seed, snapshot_times, initial)
+    return _simulate(step, params, grid, n_paths, seed, snapshot_times, initial)

@@ -142,4 +142,4 @@ def simulate_euler(
     def step(state, t, t_next, stream, diagnostics):
         return euler_step(state, t_next, params, curve, stream, diagnostics, fix)
 
-    return _simulate(step, "euler", params, grid, n_paths, seed, snapshot_times, initial)
+    return _simulate(step, params, grid, n_paths, seed, snapshot_times, initial)

@@ -48,14 +48,17 @@ _MAX_STATES = 1000
 class InitialCurve(enum.Enum):
     """Initial variance curve g0.
 
-    ``LIFTED_DEFAULT`` is the curve implied by starting the factors at
-    zero and pulling toward theta:
+    Both curves have the form
 
-        g0(t) = V0 + lam * theta * sum_n (omega_n / x_n) (1 - exp(-x_n (t - t0)))
+        g0(t) = V0 + lam * theta * sum_n w_n y_n(t - t0),
+        y_n' = 1 - d_n y_n,  y_n(0) = 0,
 
-    with the x_n = 0 term replaced by its limit lam * theta * omega_n * (t - t0).
-    ``HESTON_LINEAR`` is g0(t) = V0 + lam * theta * (t - t0), the curve
-    under which the one-factor model collapses to classical Heston.
+    so y_n(tau) = (1 - exp(-d_n tau)) / d_n, with the limit tau at
+    d_n = 0.  ``LIFTED_DEFAULT`` has w = omega, d = x: the curve implied
+    by starting the factors at zero and pulling toward theta.
+    ``HESTON_LINEAR`` has w = [1], d = [0], so g0(t) = V0 + lam * theta
+    * (t - t0), the curve under which the one-factor model collapses to
+    classical Heston.
     """
 
     LIFTED_DEFAULT = "lifted-default"
@@ -191,37 +194,43 @@ def hurst_parametrization(n_states: int, hurst: float) -> tuple[np.ndarray, np.n
     return omega, x
 
 
-def g0(t, params: ModelParams, curve: InitialCurve):
-    """Initial variance curve evaluated at ``t`` (scalar or array)."""
-    t = np.asarray(t, dtype=float)
-    tau = t - params.t0
+def _curve(params: ModelParams, curve: InitialCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w and decay rates d of the curve's form; see ``InitialCurve``."""
+    if curve is InitialCurve.HESTON_LINEAR:
+        return np.ones(1), np.zeros(1)
+    return params.omega, params.x
+
+
+def _y(d: np.ndarray, tau):
+    """y_n(tau) for decay rates ``d``, of shape d.shape + tau.shape."""
+    tau = np.asarray(tau, dtype=float)
+    d = d.reshape(d.shape + (1,) * tau.ndim)
+    pos = d > 0.0
+    # -expm1(-d tau)/d keeps its relative accuracy for small d tau
+    return np.where(pos, -np.expm1(-d * tau) / np.where(pos, d, 1.0), tau)
+
+
+def _tau(t, params: ModelParams) -> np.ndarray:
+    """Time since t0, raising before t0 and clipping roundoff below it to 0."""
+    tau = np.asarray(t, dtype=float) - params.t0
     if np.any(tau < -1e-12):
         raise ValueError("g0 evaluated before t0")
-    tau = np.maximum(tau, 0.0)
-    if curve is InitialCurve.HESTON_LINEAR:
-        out = params.v0 + params.lam * params.theta * tau
-    else:
-        x = params.x
-        pos = x > 0.0
-        # -expm1(-x tau)/x is the x > 0 branch of (1 - exp(-x tau))/x; the
-        # x = 0 limit is tau itself.
-        terms = np.empty(x.shape + tau.shape)
-        xp = x[pos]
-        terms[pos] = -np.expm1(-np.multiply.outer(xp, tau)) / xp.reshape((-1,) + (1,) * tau.ndim)
-        terms[~pos] = tau
-        out = params.v0 + params.lam * params.theta * np.tensordot(params.omega, terms, axes=(0, 0))
+    return np.maximum(tau, 0.0)
+
+
+def g0(t, params: ModelParams, curve: InitialCurve):
+    """Initial variance curve evaluated at ``t`` (scalar or array)."""
+    w, d = _curve(params, curve)
+    y = _y(d, _tau(t, params))
+    out = params.v0 + params.lam * params.theta * np.tensordot(w, y, axes=(0, 0))
     return float(out) if out.ndim == 0 else out
 
 
 def g0_derivative(t, params: ModelParams, curve: InitialCurve):
-    """Derivative dg0/dt at ``t``."""
-    t = np.asarray(t, dtype=float)
-    tau = np.maximum(t - params.t0, 0.0)
-    if curve is InitialCurve.HESTON_LINEAR:
-        out = params.lam * params.theta * np.ones_like(tau)
-    else:
-        decay = np.exp(-np.multiply.outer(params.x, tau))
-        out = params.lam * params.theta * np.tensordot(params.omega, decay, axes=(0, 0))
+    """Derivative dg0/dt at ``t``: y_n' = 1 - d_n y_n = exp(-d_n tau)."""
+    w, d = _curve(params, curve)
+    decay = np.exp(-np.multiply.outer(d, _tau(t, params)))
+    out = params.lam * params.theta * np.tensordot(w, decay, axes=(0, 0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -234,36 +243,24 @@ def g0_integral(s: float, t: float, params: ModelParams, curve: InitialCurve) ->
     if t == s:
         return 0.0
     ts, tt = s - params.t0, t - params.t0
-    if curve is InitialCurve.HESTON_LINEAR:
-        return params.v0 * (t - s) + 0.5 * params.lam * params.theta * (tt**2 - ts**2)
-    x, omega = params.x, params.omega
-    total = params.v0 * (t - s)
-    pos = x > 0.0
-    xp = x[pos]
-    # integral of (1 - exp(-x tau))/x over tau in [ts, tt]
-    int_pos = ((t - s) + np.exp(-xp * ts) * np.expm1(-xp * (t - s)) / xp) / xp
-    total += params.lam * params.theta * float(np.dot(omega[pos], int_pos))
-    n_zero = int(np.count_nonzero(~pos))
-    if n_zero:
-        total += params.lam * params.theta * float(np.sum(omega[~pos])) * 0.5 * (tt**2 - ts**2)
+    w, d = _curve(params, curve)
+    pos = d > 0.0
+    dp = d[pos]
+    # integral of y_n over tau in [ts, tt]; (tt^2 - ts^2) / 2 where d_n = 0
+    int_pos = ((t - s) + np.exp(-dp * ts) * np.expm1(-dp * (t - s)) / dp) / dp
+    total = params.v0 * (t - s) + params.lam * params.theta * float(np.dot(w[pos], int_pos))
+    if not np.all(pos):
+        total += params.lam * params.theta * float(np.sum(w[~pos])) * 0.5 * (tt**2 - ts**2)
     return total
 
 
 def _curve_ode(params: ModelParams, curve: InitialCurve, s: float):
     """g0 from time ``s`` on as the output of a linear ODE.
 
-    Returns (y(s), c, d) such that g0 = v0 + c . y with
-    y' = 1 - d * y.  HESTON_LINEAR has y = t - t0, LIFTED_DEFAULT
-    y_n = (1 - exp(-x_n (t - t0))) / x_n.
+    Returns (y(s), c, d) such that g0 = v0 + c . y with y' = 1 - d * y.
     """
-    tau = s - params.t0
-    coef = params.lam * params.theta
-    if curve is InitialCurve.HESTON_LINEAR:
-        return np.array([tau]), np.array([coef]), np.zeros(1)
-    # the x_n = 0 limit of y_n is tau
-    x = params.x
-    y_s = np.where(x > 0.0, -np.expm1(-x * tau) / np.where(x > 0.0, x, 1.0), tau)
-    return y_s, coef * params.omega, x
+    w, d = _curve(params, curve)
+    return _y(d, s - params.t0), params.lam * params.theta * w, d
 
 
 def _mean_moments(params: ModelParams, curve: InitialCurve, t: float) -> tuple[float, float]:

@@ -25,7 +25,6 @@ from .params import InitialCurve, ModelParams, g0_integral
 from .state import mean_se
 
 __all__ = [
-    "VixSpec",
     "PriceQuote",
     "vix_from_state",
     "price_european",
@@ -33,23 +32,10 @@ __all__ = [
     "implied_vol_black",
 ]
 
-
-@dataclass(frozen=True)
-class VixSpec:
-    """VIX experiment description: observation time, horizon, strike grid.
-
-    ``moneyness`` multiplies the Monte Carlo forward to produce strikes.
-    """
-
-    t: float = 1.0
-    horizon: float = 1.0 / 12.0
-    moneyness: tuple = tuple(np.round(np.arange(0.7, 1.3001, 0.05), 4))
-
-    def __post_init__(self):
-        if self.t < 0 or self.horizon <= 0:
-            raise ValueError("need t >= 0 and horizon > 0")
-        if len(self.moneyness) == 0 or any(m <= 0 for m in self.moneyness):
-            raise ValueError("moneyness grid must be positive")
+# implied_vol_black stops once the Black-76 price is this close, or after
+# this many bisection/Newton steps
+_PRICE_TOL = 1e-10
+_MAX_ITER = 200
 
 
 def vix_from_state(
@@ -86,9 +72,6 @@ class PriceQuote:
 
     price: float
     std_err: float
-    strike: float
-    kind: str
-    n_paths: int
 
 
 def price_european(
@@ -110,9 +93,7 @@ def price_european(
         raise ValueError("kind must be 'call' or 'put'")
     disc = math.exp(-rate * t)
     mean, se = mean_se(payoff)
-    return PriceQuote(
-        price=disc * mean, std_err=disc * se, strike=strike, kind=kind, n_paths=samples.shape[0]
-    )
+    return PriceQuote(price=disc * mean, std_err=disc * se)
 
 
 def black76_price(
@@ -123,6 +104,8 @@ def black76_price(
         raise ValueError("forward, strike and t must be > 0")
     if vol < 0:
         raise ValueError("vol must be >= 0")
+    if kind not in ("call", "put"):
+        raise ValueError("kind must be 'call' or 'put'")
     disc = math.exp(-rate * t)
     if vol == 0.0:
         intrinsic = max(forward - strike, 0.0) if kind == "call" else max(strike - forward, 0.0)
@@ -132,9 +115,7 @@ def black76_price(
     d2 = d1 - sd
     if kind == "call":
         return disc * (forward * _norm_cdf(d1) - strike * _norm_cdf(d2))
-    if kind == "put":
-        return disc * (strike * _norm_cdf(-d2) - forward * _norm_cdf(-d1))
-    raise ValueError("kind must be 'call' or 'put'")
+    return disc * (strike * _norm_cdf(-d2) - forward * _norm_cdf(-d1))
 
 
 def _norm_cdf(x: float) -> float:
@@ -166,16 +147,15 @@ def implied_vol_black(
     t: float,
     rate: float,
     kind: str = "call",
-    price_tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> float:
-    """Invert Black-76: the vol whose price matches to ``price_tol``.
+    """Invert Black-76: the vol whose price matches to ``_PRICE_TOL``.
 
     A price at intrinsic value returns 0.0; a price outside the
     attainable interval (below intrinsic or at/above the vol -> inf
     bound) returns NaN so callers can report a missing point rather
     than abort.  The solve is a bracketed bisection with Newton steps
-    taken whenever they stay inside the bracket.
+    taken whenever they stay inside the bracket, for at most
+    ``_MAX_ITER`` steps.
     """
     disc = math.exp(-rate * t)
     if kind == "call":
@@ -184,7 +164,7 @@ def implied_vol_black(
         lower, upper = disc * max(strike - forward, 0.0), disc * strike
     else:
         raise ValueError("kind must be 'call' or 'put'")
-    if abs(price - lower) <= price_tol:
+    if abs(price - lower) <= _PRICE_TOL:
         return 0.0
     if price < lower or price >= upper:
         return float("nan")
@@ -194,9 +174,9 @@ def implied_vol_black(
         if hi > 1e3:
             return float("nan")
     vol = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         diff = black76_price(forward, strike, t, rate, vol, kind) - price
-        if abs(diff) < price_tol:
+        if abs(diff) < _PRICE_TOL:
             return vol
         if diff > 0.0:
             hi = vol

@@ -283,7 +283,6 @@ class SimDiagnostics:
     out nonpositive; nonzero counts only appear at very large steps.
     """
 
-    scheme: str = ""
     n_paths: int = 0
     n_steps: int = 0
     min_variance: float = np.inf
@@ -321,9 +320,7 @@ class SimOutput:
         return out
 
 
-def _simulate(
-    step, scheme: str, params, grid, n_paths: int, seed, snapshot_times=(), initial=None
-) -> SimOutput:
+def _simulate(step, params, grid, n_paths: int, seed, snapshot_times=(), initial=None) -> SimOutput:
     """Advance all paths over the grid with ``step``; see ``simulate_clp``.
 
     ``step(state, t, t_next, stream, diagnostics)`` returns the state at
@@ -355,7 +352,7 @@ def _simulate(
             raise ValueError(f"snapshot time {t_snap} is not a grid point")
     draws = _DrawAhead(seed if isinstance(seed, RngStream) else RngStream(int(seed)))
 
-    diagnostics = SimDiagnostics(scheme=scheme, n_paths=n_paths, n_steps=grid.size - 1)
+    diagnostics = SimDiagnostics(n_paths=n_paths, n_steps=grid.size - 1)
     snapshots: dict[float, PathState] = {}
     ever_negative = np.zeros(n_paths, dtype=bool)
     for i in range(grid.size):

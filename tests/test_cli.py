@@ -462,6 +462,9 @@ def test_vix_outputs(tmp_path):
     assert smile[0] == ("scheme,n_steps,moneyness,strike,kind,price,price_se,"
                        "implied_vol,negative_variance_paths")
     assert len(smile) == 14
+    assert [r.split(",")[2] for r in smile[1:]] == [
+        "0.7", "0.75", "0.8", "0.85", "0.9", "0.95", "1.0", "1.05", "1.1", "1.15", "1.2", "1.25",
+        "1.3"]
     kinds = [r.split(",")[4] for r in smile[1:]]
     assert kinds[0] == "put" and kinds[-1] == "call"
     summary = (out / "vix_summary.csv").read_text().splitlines()

@@ -139,7 +139,7 @@ def test_degenerate_mean_limit_step(set3, curve):
     n = 8
     st = PathState(t=0.0, log_s=np.log(100.0) * np.ones(n), u=np.tile(u, (n, 1)),
                    v=np.full(n, v), x_cum=np.zeros(n), z_cum=np.zeros(n))
-    diag = SimDiagnostics(scheme="clp", n_paths=n, n_steps=1)
+    diag = SimDiagnostics(n_paths=n, n_steps=1)
     stream = RngStream(5)
     out = clp_step(st, pre, set3, stream, diag)
     assert diag.degenerate_mean_draws == n
@@ -215,7 +215,6 @@ def test_simulate_determinism_and_diagnostics(set1, curve):
     b = simulate_clp(set1, curve, grid, 3000, 123, snapshot_times=(0.5,))
     assert np.array_equal(a.s, b.s) and np.array_equal(a.v, b.v)
     d = a.diagnostics
-    assert d.scheme == "clp"
     assert d.total_draws == 3000 * 4
     assert d.constrained_fraction == 1.0
     assert d.degenerate_mean_draws == 0

@@ -19,7 +19,6 @@ def test_determinism_and_basic_diagnostics(set1, curve):
     assert np.array_equal(a.s, b.s)
     assert np.array_equal(a.x, b.x)
     d = a.diagnostics
-    assert d.scheme == "euler"
     assert d.total_draws == 3000 * 20
     assert d.constrained_draws == 0 and d.degenerate_mean_draws == 0
     assert np.all(np.diff([0.0] + [np.mean(a.x)]) >= 0.0)

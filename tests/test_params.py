@@ -216,6 +216,41 @@ def test_heston_linear_curve_values():
     assert g0_derivative(1.3, p, c) == pytest.approx(2.0 * 0.04, abs=1e-12)
 
 
+def test_curves_raise_before_t0(set1):
+    p = dataclasses.replace(set1, t0=0.5)
+    for c in InitialCurve:
+        with pytest.raises(ValueError):
+            g0(0.0, p, c)
+        with pytest.raises(ValueError):
+            g0_derivative(0.0, p, c)
+        with pytest.raises(ValueError):
+            g0_derivative(np.array([0.6, 0.0]), p, c)
+        with pytest.raises(ValueError):
+            g0_integral(0.0, 1.0, p, c)
+
+
+def test_heston_curve_is_the_one_factor_lifted_curve():
+    """With omega = [1], x = [0] the lifted default curve is the Heston
+    line, and every function built on the curve gives the same bits."""
+    p = dataclasses.replace(heston_collapse(), t0=0.5)
+    lifted, linear = InitialCurve.LIFTED_DEFAULT, InitialCurve.HESTON_LINEAR
+    ts = 0.5 + np.concatenate(([0.0], np.geomspace(1e-6, 8.0, 25)))
+    for f in (g0, g0_derivative):
+        assert np.array_equal(f(ts, p, lifted), f(ts, p, linear))
+        for t in ts:
+            assert f(float(t), p, lifted) == f(float(t), p, linear)
+    for s in ts[::5]:
+        for t in ts[::3]:
+            if t >= s:
+                assert g0_integral(s, t, p, lifted) == g0_integral(s, t, p, linear)
+        for a, b in zip(_curve_ode(p, lifted, s), _curve_ode(p, linear, s)):
+            assert np.array_equal(a, b)
+    for s, t in ((0.5, 0.6), (0.8, 5.5)):
+        a, b = precompute_step(p, lifted, s, t), precompute_step(p, linear, s, t)
+        for name in ("phi1", "chi", "xi", "psi", "g0_int", "g0_next"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def test_lam_zero_default_curve_is_flat(set3, curve):
     ts = np.linspace(0.0, 5.0, 11)
     assert np.allclose(g0(ts, set3, curve), set3.v0, atol=1e-14)

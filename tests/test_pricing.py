@@ -11,7 +11,6 @@ from scipy.stats import norm
 from liftedheston import (
     InitialCurve,
     ModelParams,
-    VixSpec,
     black76_price,
     g0,
     implied_vol_black,
@@ -34,21 +33,6 @@ def _heston_vix_squared(v_t, lam, theta, horizon):
     if lam == 0.0:
         return v_t
     return (v_t - theta) * (-math.expm1(-lam * horizon) / (lam * horizon)) + theta
-
-
-def test_vix_spec_defaults_and_validation():
-    spec = VixSpec()
-    assert spec.t == 1.0
-    assert spec.horizon == pytest.approx(1.0 / 12.0)
-    assert spec.moneyness[0] == pytest.approx(0.7)
-    assert spec.moneyness[-1] == pytest.approx(1.3)
-    assert len(spec.moneyness) == 13
-    with pytest.raises(ValueError):
-        VixSpec(t=-1.0)
-    with pytest.raises(ValueError):
-        VixSpec(horizon=0.0)
-    with pytest.raises(ValueError):
-        VixSpec(moneyness=(0.9, -1.1))
 
 
 def test_vix_matches_heston_closed_form():
@@ -117,8 +101,9 @@ def test_black76_reference_value_and_parity():
         put = black76_price(f, k, t, r, vol, "put")
         assert call - put == pytest.approx(np.exp(-r * t) * (f - k), abs=1e-9)
     assert black76_price(100.0, 90.0, 1.0, 0.0, 0.0, "call") == pytest.approx(10.0)
-    with pytest.raises(ValueError):
-        black76_price(100.0, 90.0, 1.0, 0.0, 0.2, "straddle")
+    for vol in (0.2, 0.0):
+        with pytest.raises(ValueError):
+            black76_price(100.0, 90.0, 1.0, 0.0, vol, "straddle")
     with pytest.raises(ValueError):
         black76_price(-1.0, 90.0, 1.0, 0.0, 0.2)
 
@@ -152,7 +137,6 @@ def test_price_european_payoffs():
     samples = np.array([80.0, 100.0, 120.0, 140.0])
     q = price_european(samples, 110.0, 2.0, 0.05, "call")
     assert q.price == pytest.approx(np.exp(-0.1) * 10.0)
-    assert q.kind == "call" and q.n_paths == 4 and q.strike == 110.0
     qp = price_european(samples, 110.0, 2.0, 0.05, "put")
     assert qp.price == pytest.approx(np.exp(-0.1) * 0.25 * (30.0 + 10.0))
     assert q.std_err > 0.0
