@@ -27,7 +27,7 @@ from .pricing import (
     price_european,
     vix_from_state,
 )
-from .sampling import RngStream, correlated_pair, sample_inverse_gaussian
+from .sampling import RngStream, sample_inverse_gaussian
 from .state import PathState, SimDiagnostics, SimOutput, mean_se, variance_se
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "black76_price",
     "build_drift_matrix",
     "clp_step",
-    "correlated_pair",
     "e_matrix_integral",
     "euler_step",
     "expected_integrated_variance",

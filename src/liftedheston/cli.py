@@ -619,6 +619,9 @@ def main(argv=None) -> int:
         # ConfigError, the library's own input checks and oversized runs alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: numeric overflow ({exc}): model values too large", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

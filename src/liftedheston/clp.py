@@ -162,7 +162,8 @@ def _coefficients(u, pre, params, alpha_factors, ratio, work, first_path=0) -> P
             f"constraint constant nonpositive (path {first_path + bad}, c={c[bad]:.3e}); "
             f"no admissible slope exists"
         )
-    boundary = nu * alpha_pos * omega_bar / c
+    # degenerate paths never sample, and their c may be 0, so divide by a harmless 1 instead
+    boundary = nu * alpha_pos * omega_bar / np.where(degenerate, 1.0, c)
     with np.errstate(divide="ignore", invalid="ignore"):
         value_at_zero = c - nu * alpha_pos * omega_bar / beta
     feasible = (beta > 0.0) & (beta <= beta_limit) & (value_at_zero >= 0.0) & ~degenerate

@@ -11,21 +11,21 @@ variance.  Integrated variance is accumulated by the trapezoid rule on
 the fixed values, and the driver integral Z by sqrt(V+) dW2, for use as
 a convergence benchmark against the projection scheme.
 
-``euler_step`` draws z_perp and then z2 for all paths, as
-``correlated_pair`` does, and combines them into the price normals.  It
-then updates the factors in the same explicit scheme regrouped as
+``euler_step`` draws z_perp and then z2 for all paths and leaves all
+per-path arithmetic to its blocks, as the projection step does.  It
+updates the factors in the same explicit scheme regrouped as
 
     U <- U * (1 - x dt) + (nu dW2 - lam V+ dt),
 
-with the decay computed once per step (N values) and the shock once per
-path.  The paths advance in blocks through ``state._run_blocks``, on one
-thread per usable CPU, as in the projection step; under
-``simulate_euler`` the calling thread draws the next step's normals
-while they run.  A block forms its paths' fixed variance, increments
-and shock, multiplies its factor rows into the new state, adds the
-shock, takes the product with omega, adds g0, applies the ABSORPTION
-rescale, writes its rows of the log price and the running integrals,
-and returns its smallest variance.  The new factor array is
+with the decay and sqrt(1 - rho^2) computed once per step.  The paths
+advance in blocks through ``state._run_blocks``, on one thread per
+usable CPU; under ``simulate_euler`` the calling thread draws the next
+step's normals while they run.  A block forms its paths' price normals
+rho z2 + sqrt(1 - rho^2) z_perp, fixed variance, increments and shock,
+multiplies its factor rows into the new state, adds the shock, takes the
+product with omega, adds g0, applies the ABSORPTION rescale, writes its
+rows of the log price and the running integrals, and returns its
+smallest variance.  The new factor array is
 column-major, so that the two passes run along contiguous columns of
 the block instead of broadcasting along rows N values long; the input
 may have either layout.  Per element these are the operations of the
@@ -44,7 +44,7 @@ import enum
 import numpy as np
 
 from .params import InitialCurve, ModelParams, g0
-from .sampling import RngStream, correlated_pair
+from .sampling import RngStream
 from .state import PathState, SimDiagnostics, SimOutput, _run_blocks, _simulate
 
 __all__ = ["VarianceFix", "euler_step", "simulate_euler"]
@@ -78,13 +78,16 @@ def euler_step(
     diagnostics: SimDiagnostics | None = None,
     fix: VarianceFix = VarianceFix.FULL_TRUNCATION,
 ) -> PathState:
-    """Advance all paths to ``t_next``; two correlated normals per path."""
+    """Advance all paths to ``t_next``; two normals per path, correlated in the blocks."""
     dt = t_next - state.t
     if dt <= 0:
         raise ValueError("t_next must exceed the state time")
     diagnostics = SimDiagnostics() if diagnostics is None else diagnostics
     n = state.n_paths
-    z1, z2 = correlated_pair(stream, params.rho, size=n)
+    z_perp = stream.normal(n)
+    z2 = stream.normal(n)
+    rho = params.rho
+    rho_perp = np.sqrt(1.0 - rho * rho)
     decay = 1.0 - params.x * dt
     g0_next = float(g0(t_next, params, curve))
     # column-major, so that the decay and the shock run along contiguous columns
@@ -92,12 +95,12 @@ def euler_step(
     v_new = np.empty(n)
     x_new = np.empty(n)
     # a block reads its rows of the normals before it writes these rows, as in clp_step
-    log_s_new, z_new = z1, z2
+    log_s_new, z_new = z_perp, z2
 
     def block(lo, hi):
         v_fix = _fixed(state.v[lo:hi], fix)
         sq_dw = np.sqrt(v_fix * dt)
-        dw1 = sq_dw * z1[lo:hi]
+        dw1 = sq_dw * (rho * z2[lo:hi] + rho_perp * z_perp[lo:hi])
         dw2 = sq_dw * z2[lo:hi]
         # u + (-x u - lam v+) dt + nu dW2 = u (1 - x dt) + (nu dW2 - lam v+ dt)
         shock = params.nu * dw2 - params.lam * v_fix * dt

@@ -100,9 +100,10 @@ def black76_price(
     forward: float, strike: float, t: float, rate: float, vol: float, kind: str = "call"
 ) -> float:
     """Black-76 price of a European option on a forward."""
-    if forward <= 0 or strike <= 0 or t <= 0:
+    # written so that NaN fails them too
+    if not (forward > 0 and strike > 0 and t > 0):
         raise ValueError("forward, strike and t must be > 0")
-    if vol < 0:
+    if not vol >= 0:
         raise ValueError("vol must be >= 0")
     if kind not in ("call", "put"):
         raise ValueError("kind must be 'call' or 'put'")
@@ -152,11 +153,14 @@ def implied_vol_black(
 
     A price at intrinsic value returns 0.0; a price outside the
     attainable interval (below intrinsic or at/above the vol -> inf
-    bound) returns NaN so callers can report a missing point rather
-    than abort.  The solve is a bracketed bisection with Newton steps
+    bound), or NaN, returns NaN so callers can report a missing point
+    rather than abort.  A non-finite forward or strike raises
+    ``ValueError``.  The solve is a bracketed bisection with Newton steps
     taken whenever they stay inside the bracket, for at most
     ``_MAX_ITER`` steps.
     """
+    if not (math.isfinite(forward) and math.isfinite(strike)):
+        raise ValueError("forward and strike must be finite")
     disc = math.exp(-rate * t)
     if kind == "call":
         lower, upper = disc * max(forward - strike, 0.0), disc * forward
@@ -166,7 +170,7 @@ def implied_vol_black(
         raise ValueError("kind must be 'call' or 'put'")
     if abs(price - lower) <= _PRICE_TOL:
         return 0.0
-    if price < lower or price >= upper:
+    if not lower <= price < upper:  # NaN included
         return float("nan")
     lo, hi = 0.0, 1.0
     while black76_price(forward, strike, t, rate, hi, kind) < price:

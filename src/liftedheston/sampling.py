@@ -4,7 +4,8 @@ Streams are Philox counter-based generators keyed by (seed, stream_id),
 so the draw sequence of a stream depends only on that pair, never on
 platform or scheduling.  Simulations consume one stream and draw whole
 path-vectors per step in a fixed order; independent purposes (e.g. a
-benchmark run) take a different stream_id of the same master seed.
+benchmark run) take a different stream_id of the same master seed.  The
+step kernels take raw draws and transform them in their own blocks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 __all__ = [
     "RngStream",
     "sample_inverse_gaussian",
-    "correlated_pair",
 ]
 
 
@@ -83,17 +83,3 @@ def _inverse_gaussian(mu, gamma, normal, uniform):
     take_minus = uniform <= mu / (mu + x_minus)
     return np.where(take_minus, x_minus, np.square(mu) / x_minus)
 
-
-def correlated_pair(stream: RngStream, rho: float, size=None):
-    """Pair (z1, z2) of standard normals with corr(z1, z2) = rho.
-
-    z2 drives the variance; z1 = rho * z2 + sqrt(1 - rho^2) * z_perp
-    drives the price.  Draw order is (z_perp, z2), so rho = 1 collapses
-    z1 onto z2 exactly.
-    """
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [-1, 1]")
-    z_perp = stream.normal(size)
-    z2 = stream.normal(size)
-    z1 = rho * z2 + np.sqrt(1.0 - rho * rho) * z_perp
-    return z1, z2

@@ -286,7 +286,8 @@ def test_non_finite_and_fractional_input_exit_2_with_one_line(tmp_path, child_en
 # finite but extreme: the first two used to exit 0 after expm overflow
 # warnings with all-NaN CSVs, the third with a 7 TiB allocation
 # traceback, the Euler run after overflow warnings with inf and NaN in
-# summary.csv, and vix after an overflow warning in the price
+# summary.csv, vix after an overflow warning in the price, and vix at a
+# large negative rate with an OverflowError traceback from the discount
 SIMULATE = ["simulate", "--paths", "10", "--steps", "2"]
 
 
@@ -297,6 +298,8 @@ SIMULATE = ["simulate", "--paths", "10", "--steps", "2"]
     ("scheme = euler\nnu = 1e300\n", "non-finite variance at t=1: model values too large",
      SIMULATE),
     ("rate = 1e300\n", "price overflow at t=1.08333: model values too large",
+     ["vix", "--paths", "100", "--steps", "13"]),
+    ("rate = -800\n", "numeric overflow (math range error): model values too large",
      ["vix", "--paths", "100", "--steps", "13"]),
 ])
 def test_extreme_model_values_exit_2_with_one_line(tmp_path, child_env, config, message,

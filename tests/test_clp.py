@@ -157,6 +157,21 @@ def test_degenerate_mean_limit_step(set3, curve):
     assert np.array_equal(stream.uniform(4), twin.uniform(4))
 
 
+def test_zero_variance_model_runs_without_warnings(curve):
+    # v0 = theta = 0 keeps V at zero: every path is degenerate with c = 0,
+    # which once gave an infinite slope, a zero IG shape and a refusal
+    params = ModelParams.from_hurst(5, 0.3, lam=0.25, nu=0.1, v0=0.0, theta=0.0, rho=0.7)
+    grid = np.linspace(0.0, 1.0, 6)
+    with np.errstate(all="raise"):
+        co = step_coefficients(PathState.initial(params, 50),
+                               precompute_step(params, curve, 0.0, 0.2), params)
+        out = simulate_clp(params, curve, grid, 50, RngStream(3))
+    assert np.all(co.degenerate) and np.all(co.c == 0.0)
+    assert np.all(np.isfinite(co.beta_c)) and np.all(co.beta_c > 0.0)
+    assert np.all(out.v == 0.0) and np.all(out.x == 0.0) and np.all(out.z == 0.0)
+    assert out.diagnostics.degenerate_mean_draws == 50 * 5
+
+
 def test_step_factor_split_identity(set1, curve):
     """Reconstructing the per-factor allocation from the state update must
     reproduce the sampled integrated variance through the weight map."""

@@ -7,12 +7,12 @@ and spreads those over ``state._WORKERS`` threads; each block writes
 every output row of its paths.  Called on a plain ``RngStream``, as
 here, they draw nothing ahead; the look-ahead of the simulation driver
 is tested in ``test_state.py``.  The references below advance the whole
-batch in one vectorized pass, from the public ``step_coefficients``,
-``sample_inverse_gaussian`` and ``correlated_pair``;
-they are the oracle, and the kernels must match them bit for bit with
-one, two or three workers.  The first block and the last hold at least
-``_BLOCK`` rows, so rows below ``_BLOCK`` fall in the first block and
-rows from ``n - _BLOCK`` on in the last.
+batch in one vectorized pass, from the public ``step_coefficients``
+and ``sample_inverse_gaussian``, and the Euler one forms its correlated
+price normals itself; they are the oracle, and the kernels must match
+them bit for bit with one, two or three workers.  The first block and
+the last hold at least ``_BLOCK`` rows, so rows below ``_BLOCK`` fall in
+the first block and rows from ``n - _BLOCK`` on in the last.
 
 The references run in a spawned child with one BLAS thread, the kernels
 in this process.  OpenBLAS gives the last ``n % 4`` rows of each of its
@@ -41,7 +41,6 @@ from liftedheston import (
     SimDiagnostics,
     VarianceFix,
     clp_step,
-    correlated_pair,
     euler_step,
     g0,
     precompute_step,
@@ -177,7 +176,9 @@ def reference_euler_step(state, t_next, params, curve, stream, diagnostics=None,
     dt = t_next - state.t
     n = state.n_paths
     v_fix = fixed(state.v)
-    z1, z2 = correlated_pair(stream, params.rho, size=n)
+    z_perp = stream.normal(n)
+    z2 = stream.normal(n)
+    z1 = params.rho * z2 + np.sqrt(1.0 - params.rho * params.rho) * z_perp
     sq_dw = np.sqrt(v_fix * dt)
     dw1 = sq_dw * z1
     dw2 = sq_dw * z2
@@ -264,6 +265,23 @@ def test_euler_step_matches_unblocked_reference(set2, curve, monkeypatch, one_th
     if fix is VarianceFix.ABSORPTION and n >= 2 * _BLOCK:
         absorbed = np.flatnonzero(want.v == 0.0)
         assert absorbed.min() < _BLOCK and absorbed.max() >= n - _BLOCK
+
+
+@pytest.mark.parametrize("rho", [1.0, -1.0])
+def test_euler_price_shock_is_the_driver_shock_at_unit_correlation(set2, curve, monkeypatch, rho):
+    """At rho = +-1 the price normals are +-z2 exactly, so the log-price
+    shock is +-(the z_cum increment) to the bit in every block."""
+    monkeypatch.setattr(state_module, "_WORKERS", 2)
+    params = dataclasses.replace(set2, rho=rho)
+    n = 2 * _BLOCK + 37
+    u = np.random.default_rng(7).normal(scale=0.05, size=(n, params.n_states))
+    state = state_from_rows(u, 0.5, u @ params.omega + float(g0(0.5, params, curve)))
+    state = dataclasses.replace(state, z_cum=np.zeros(n))
+    got = euler_step(state, 0.6, params, curve, RngStream(2), SimDiagnostics())
+    shock = got.z_cum  # the increment itself, from z_cum = 0
+    assert np.count_nonzero(shock) > n // 2
+    drift = (params.rate - 0.5 * np.maximum(state.v, 0.0)) * (0.6 - 0.5)
+    assert np.array_equal(got.log_s, state.log_s + drift + rho * shock)
 
 
 @pytest.mark.parametrize("fix", list(VarianceFix))

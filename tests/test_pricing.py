@@ -133,6 +133,21 @@ def test_implied_vol_degenerate_quotes():
         implied_vol_black(1.0, 100.0, 100.0, 1.0, 0.0, "binary")
 
 
+def test_implied_vol_and_black76_non_finite_inputs():
+    nan, inf = float("nan"), float("inf")
+    # each used to return 1.0 after the full iteration budget
+    assert np.isnan(implied_vol_black(nan, 1.0, 1.0, 1.0, 0.0))
+    assert np.isnan(implied_vol_black(nan, 100.0, 90.0, 1.0, 0.0, "put"))
+    for forward, strike in ((nan, 1.0), (1.0, nan), (inf, 1.0), (1.0, inf), (-inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            implied_vol_black(0.1, forward, strike, 1.0, 0.0)
+    # NaN used to slip past the sign checks and price to NaN
+    for args in ((1.0, 1.0, 1.0, 0.0, nan), (nan, 1.0, 1.0, 0.0, 0.2),
+                 (1.0, nan, 1.0, 0.0, 0.2), (1.0, 1.0, nan, 0.0, 0.2)):
+        with pytest.raises(ValueError):
+            black76_price(*args)
+
+
 def test_price_european_payoffs():
     samples = np.array([80.0, 100.0, 120.0, 140.0])
     q = price_european(samples, 110.0, 2.0, 0.05, "call")

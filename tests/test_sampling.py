@@ -6,7 +6,6 @@ from scipy import stats
 
 from liftedheston import (
     RngStream,
-    correlated_pair,
     sample_inverse_gaussian,
 )
 
@@ -108,19 +107,3 @@ def test_inverse_gaussian_draw_order_frozen():
     expect = np.where(u <= 1.0 / (1.0 + x_minus), x_minus, 1.0 / x_minus)
     assert np.array_equal(x, expect)
 
-
-def test_correlated_pair_statistics():
-    for i, rho in enumerate((-0.7, 0.0, 0.4)):
-        z1, z2 = correlated_pair(RngStream(40, stream_id=i), rho, size=200_000)
-        assert abs(np.corrcoef(z1, z2)[0, 1] - rho) < 0.01
-        assert abs(np.std(z1) - 1.0) < 0.01
-        assert abs(np.std(z2) - 1.0) < 0.01
-
-
-def test_correlated_pair_degenerate_rho():
-    z1, z2 = correlated_pair(RngStream(41), 1.0, size=100)
-    assert np.array_equal(z1, z2)
-    z1, z2 = correlated_pair(RngStream(41), -1.0, size=100)
-    assert np.array_equal(z1, -z2)
-    with pytest.raises(ValueError):
-        correlated_pair(RngStream(41), 1.5, size=10)
