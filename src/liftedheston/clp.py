@@ -15,11 +15,15 @@ and its driver integral Z = int sqrt(V) dW2 instead of V itself:
   4. split X_hat across factors along the conditional-covariance
      direction, update U, V, the log price and the running integrals.
 
-The price update uses X_hat for its quadratic variation, so the
-discounted price stays a martingale exactly (the inverse Gaussian
-moment generating function cancels the drift correction in closed
-form).  Variance nonnegativity is enforced pathwise by step 2 rather
-than by truncation, which is what keeps large steps honest.
+The price update uses X_hat for its quadratic variation.  Given U, the
+inverse Gaussian moment generating function cancels the drift
+correction in closed form while rho beta^C <= 1; where rho beta^C > 1
+it leaves the factor exp(2 alpha (1 - rho beta^C) / beta^C^2), and the
+step adds the compensator 2 alpha (rho beta^C - 1) / beta^C^2 to the log
+price of those paths, and of no other.  So the discounted price is a
+martingale exactly for every admissible slope.  Variance nonnegativity
+is enforced pathwise by step 2 rather than by truncation, which is what
+keeps large steps honest.
 
 ``clp_step`` draws first and blocks second.  It takes the step's numbers
 for all paths in the fixed order -- the normals behind the inverse
@@ -28,19 +32,43 @@ advances exactly as in one vectorized pass.  It then advances the paths
 in blocks through ``state._run_blocks``, on one thread per usable CPU;
 under ``simulate_clp`` the calling thread meanwhile draws the next
 step's numbers, with the same calls.
-Each thread reuses two (block, N) buffers for ``out=`` ufuncs and
-``np.matmul(..., out=)``, and a block's slice of the new factor array
-serves as a third.  A block projects and clips its slopes in one call to
-``_coefficients``, the code behind ``step_coefficients``, writes every
-output row of its paths, g0 and the roundoff clamp included, and returns
-its diagnostics partials; only their fold and the roundoff check on the
-global minimum follow the blocks.  Each element goes through the same
-operations in the same order as in the whole-batch call, BLAS gives each
-row the same bits in a block as in the whole batch, and the partials are
-folded in block order, so the output is bitwise that of the unblocked
-step on any number of CPUs.  The block body calls only numpy and this
-package's private helpers, and sets the numpy error state it needs
-itself.
+
+A block makes two products with the step's small matrices
+(``_StepMaps``).  The thin product of its factor rows with an N x 4
+matrix gives each path's alpha, E[XZ], the factor split's weighted sum
+and the constant c; ``_coefficients``, the code behind
+``step_coefficients``, turns these into the slopes and the constraint
+with arithmetic on vectors over paths.  After the draws, the block
+stacks [u, u s, 1, s, shock] for its paths, with the per-path scale
+s = (X_hat - alpha) / E[XZ] and the shock nu Z - lam X_hat, and one
+product of the stack with the (2N + 3) x N update matrix writes the new
+factors; paths with E[XZ] <= 0, whose split falls back to 1/omega_bar,
+are corrected after it.  The stack is kept factor-major, one contiguous
+row of paths per entry, so that filling it never broadcasts a per-path
+value along rows only N long; the per-path values and the constants
+ride in the matrix product instead.  Each thread reuses one buffer of
+2N + 3 values per path for both products.
+
+Both products put one path on each output row and take the step's
+matrix column-major.  So arranged, with OpenBLAS 0.3.31 on SkylakeX
+kernels as measured, a path's bits depend neither on the block around
+it, nor on the number of BLAS threads, nor on the size of the call, for
+blocks that start on multiples of 4.  With the paths along the columns
+of the output, the last paths of a call change bits with the BLAS
+thread count; with a row-major step matrix, calls over a few thousand
+paths can take OpenBLAS's small-matrix kernel, which rounds
+differently from the kernel of larger calls.  So the factors stay
+row-major, and the step reads any other layout through a row-major
+copy, which keeps the bits independent of the input layout.
+
+A block writes every output row of its paths, g0 and the roundoff clamp
+included, and returns its diagnostics partials; only their fold and the
+roundoff check on the global minimum follow the blocks.  Each element
+goes through the same operations in the same order as in the
+whole-batch call, and the partials are folded in block order, so the
+output is bitwise that of the unblocked step on any number of CPUs.
+The block body calls only numpy and this package's private helpers,
+and sets the numpy error state it needs itself.
 
 ``simulate_clp`` runs this step over a grid through the driver in
 ``state.py`` that the Euler baseline shares.
@@ -71,24 +99,55 @@ _V_ROUNDOFF = 1e-12
 class ProjectionCoeffs:
     """Per-path projection coefficients for one step.
 
-    ``alpha`` is E_i[X], ``alpha_factors`` the per-factor means E_i[X^n],
-    ``beta`` the raw projection slope E_i[X Z] / alpha, ``ratio`` the
-    factor split E_i[X^n Z] / E_i[X Z].  ``beta_limit`` is the largest
-    admissible slope (+inf when the slope constraint never binds),
-    ``c`` the constant such that the variance constraint at X_hat = 0
-    reads c - nu * alpha * omega_bar / beta >= 0, and ``beta_c`` the
+    ``alpha`` is E_i[X], ``beta`` the raw projection slope
+    E_i[X Z] / alpha.  ``beta_limit`` is the largest admissible slope
+    (+inf when the slope constraint never binds), ``c`` the constant
+    such that the variance constraint at X_hat = 0 reads
+    c - nu * alpha * omega_bar / beta >= 0, and ``beta_c`` the
     constrained slope actually used for sampling.
     """
 
     alpha: np.ndarray
-    alpha_factors: np.ndarray
     beta: np.ndarray
-    ratio: np.ndarray
     degenerate: np.ndarray
     beta_limit: np.ndarray
     c: np.ndarray
     beta_c: np.ndarray
     constrained: np.ndarray
+
+
+@dataclass(frozen=True)
+class _StepMaps:
+    """One step's affine maps of the factors, as products with factor rows u.
+
+    With alpha_factors = phi1 u + xi the per-factor means E[X^n],
+    kappa = chi u + psi the per-factor E[X^n Z] and the factor split
+    ratio = kappa / E[XZ], ``u @ thin + thin_shift`` gives per path
+    alpha, E[XZ], E[XZ] (ratio . omega x) and
+    u . omega + g0_next - alpha_factors . omega x.  With
+    incr = X_hat - alpha and s = incr / E[XZ], ``[u, u s, 1, s, shock] @ update``
+    is the new factor row u - x (alpha_factors + ratio incr) + shock.
+    Where E[XZ] <= 0 the split falls back to 1/omega_bar per factor:
+    there s = 0, and the step subtracts x incr / omega_bar itself.
+    """
+
+    thin: np.ndarray
+    thin_shift: np.ndarray
+    update: np.ndarray
+
+
+def _step_maps(pre: StepPrecompute, params: ModelParams) -> _StepMaps:
+    omega, x = params.omega, params.x
+    wx = omega * x
+    phi1, chi = pre.phi1, pre.chi
+    # both matrices column-major (see the module docstring)
+    return _StepMaps(
+        thin=np.stack((omega @ phi1, omega @ chi, wx @ chi, omega - wx @ phi1)).T,
+        thin_shift=np.array([pre.xi @ omega + pre.g0_int, pre.psi @ omega, pre.psi @ wx,
+                             pre.g0_next - pre.xi @ wx]),
+        update=np.column_stack((np.eye(x.size) - x[:, None] * phi1, -x[:, None] * chi,
+                                -x * pre.xi, -x * pre.psi, np.ones(x.size))).T,
+    )
 
 
 def step_coefficients(
@@ -103,8 +162,9 @@ def step_coefficients(
     degenerate; the step for them collapses to the alpha -> 0+ limit
     (X_hat = 0, Z_hat = 0, handled in :func:`clp_step`).  A nonpositive
     E_i[X Z] is representable: beta then routes the path to the
-    constrained branch and the factor split falls back to its small-step
-    limit ratio_n = 1/omega_bar, which preserves the identity
+    constrained branch and the factor split
+    ratio_n = E_i[X^n Z] / E_i[X Z] falls back to its small-step limit
+    ratio_n = 1/omega_bar, which preserves the identity
     sum_n omega_n ratio_n = 1.
 
     The variance after the step is affine in the sampled X_hat >= 0, so
@@ -118,44 +178,38 @@ def step_coefficients(
     ``FloatingPointError`` naming the first live path whose c is
     nonpositive, for which no admissible slope exists.
     """
-    u = state.u
-    return _coefficients(u, pre, params, np.empty(u.shape), np.empty(u.shape), np.empty(u.shape))
+    u = np.ascontiguousarray(state.u)
+    return _coefficients(u, _step_maps(pre, params), params, np.empty((u.shape[0], 4)))[0]
 
 
-def _coefficients(u, pre, params, alpha_factors, ratio, work, first_path=0) -> ProjectionCoeffs:
-    """:func:`step_coefficients` for factor rows ``u``.
+def _coefficients(u, maps, params, out, first_path=0):
+    """:func:`step_coefficients` for the row-major factor rows ``u`` (rows, N).
 
-    The per-factor means and the factor split are written into the
-    (rows, N) buffers ``alpha_factors`` and ``ratio``, which the result
-    holds; ``work`` is a third (rows, N) buffer.  The rows are paths
-    ``first_path``, ``first_path + 1``, ... of the batch, which is how
-    the error names a path.
+    One product with ``maps.thin``, written into the (rows, 4) ``out``,
+    gives every per-path input; the rest is arithmetic on vectors over
+    paths.  Returns the coefficients, the sampling mean (alpha, or 1 on
+    degenerate paths) and E[XZ].  The rows are paths ``first_path``,
+    ``first_path + 1``, ... of the batch, which is how the error names a
+    path.
     """
-    omega, x = params.omega, params.x
-    omega_bar = params.omega_bar
-    nu = params.nu
-    np.matmul(u, pre.phi1.T, out=alpha_factors)
-    alpha_factors += pre.xi
-    alpha = alpha_factors @ omega + pre.g0_int
+    nu_omega_bar = params.nu * params.omega_bar
+    thin = np.matmul(u, maps.thin, out=out)
+    alpha = thin[:, 0] + maps.thin_shift[0]
+    xz_mean = thin[:, 1] + maps.thin_shift[1]
     degenerate = alpha <= 0.0
+    live = ~degenerate
     # degenerate paths never sample, so give them a harmless positive mean
-    alpha_pos = np.where(degenerate, 1.0, alpha)
-    kappa = np.matmul(u, pre.chi.T, out=ratio)
-    kappa += pre.psi
-    xz_mean = kappa @ omega
+    alpha_pos = np.where(live, alpha, 1.0)
     beta = xz_mean / alpha_pos
-    ok = xz_mean > 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(kappa, xz_mean[:, None], out=ratio)
-    ratio[~ok] = 1.0 / omega_bar
-    wx = omega * x
-    denom = ratio @ wx + params.lam * omega_bar
-    with np.errstate(divide="ignore"):
-        beta_limit = np.where(denom > 0.0, nu * omega_bar / np.where(denom > 0.0, denom, 1.0), np.inf)
-    xhat_at_zero = np.multiply(ratio, alpha[:, None], out=work)
-    np.subtract(alpha_factors, xhat_at_zero, out=xhat_at_zero)
-    c = u @ omega - xhat_at_zero @ wx + pre.g0_next
-    bad_c = (c <= 0.0) & ~degenerate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # ratio . omega x, the factor split's weighted sum; 1/omega_bar per factor where E[XZ] <= 0
+        split_wx = np.where(xz_mean > 0.0, (thin[:, 2] + maps.thin_shift[2]) / xz_mean,
+                            params.omega @ params.x / params.omega_bar)
+        denom = split_wx + params.lam * params.omega_bar
+        beta_limit = np.where(denom > 0.0, nu_omega_bar / denom, np.inf)
+    # the variance after the step at X_hat = Z_hat = 0
+    c = (thin[:, 3] + maps.thin_shift[3]) + alpha * split_wx
+    bad_c = (c <= 0.0) & live
     if np.any(bad_c):
         bad = int(np.argmax(bad_c))
         raise FloatingPointError(
@@ -163,21 +217,19 @@ def _coefficients(u, pre, params, alpha_factors, ratio, work, first_path=0) -> P
             f"no admissible slope exists"
         )
     # degenerate paths never sample, and their c may be 0, so divide by a harmless 1 instead
-    boundary = nu * alpha_pos * omega_bar / np.where(degenerate, 1.0, c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value_at_zero = c - nu * alpha_pos * omega_bar / beta
-    feasible = (beta > 0.0) & (beta <= beta_limit) & (value_at_zero >= 0.0) & ~degenerate
-    return ProjectionCoeffs(
+    boundary = alpha_pos * nu_omega_bar / np.where(live, c, 1.0)
+    # with c > 0, c - nu alpha omega_bar / beta >= 0 holds iff beta >= boundary
+    feasible = (beta >= boundary) & (beta <= beta_limit) & live
+    coeffs = ProjectionCoeffs(
         alpha=alpha,
-        alpha_factors=alpha_factors,
         beta=beta,
-        ratio=ratio,
         degenerate=degenerate,
         beta_limit=beta_limit,
         c=c,
         beta_c=np.where(feasible, beta, boundary),
-        constrained=~feasible & ~degenerate,
+        constrained=live ^ feasible,
     )
+    return coeffs, alpha_pos, xz_mean
 
 
 def clp_step(
@@ -197,7 +249,10 @@ def clp_step(
     discounting price increment (the discounted price stays a martingale
     exactly), and the smallest driver value that keeps the variance
     nonnegative, Z_hat = max(-c, 0) / (nu omega_bar), which is 0
-    whenever the constraint constant c is positive.
+    whenever the constraint constant c is positive.  A live path with
+    rho beta_c > 1, beyond the reach of the inverse Gaussian's own
+    drift cancellation, adds 2 alpha (rho beta_c - 1) / beta_c^2 to its
+    log price, so that E[exp(-r dt) S'/S | U] = 1 on every path.
 
     The draws of all paths are taken first; the paths are then advanced
     block by block, on as many threads as there are usable CPUs, while
@@ -209,50 +264,28 @@ def clp_step(
     normal = stream.normal(n)
     pick = stream.uniform(n)
     z_price = stream.normal(n)
-    u_new = np.empty_like(state.u)
+    maps = _step_maps(pre, params)
+    n_states = params.n_states
+    width = 2 * n_states + 3
+    # row-major, as PathState keeps it; another layout would give other bits
+    u_in = np.ascontiguousarray(state.u)
+    u_new = np.empty(u_in.shape)
     v_new = np.empty(n)
     # a block reads its rows of the draws before it writes these rows, so
     # the outputs take over the draws' storage, and a step holds no more
     # memory while the next step's numbers are drawn
     log_s_new, x_cum, z_cum = z_price, normal, pick
-    rho = params.rho
+    rho, nu = params.rho, params.nu
+    nu_omega_bar = nu * params.omega_bar
 
-    def block(lo, hi, alpha_factors, ratio):
-        u = state.u[lo:hi]
-        u_blk = u_new[lo:hi]
-        # u_blk is free until the update below, so it holds the coefficients' work rows
-        coeffs = _coefficients(u, pre, params, alpha_factors, ratio, u_blk, lo)
-        alpha, beta_c, degen = coeffs.alpha, coeffs.beta_c, coeffs.degenerate
-        alpha_pos = np.where(degen, 1.0, alpha)
-        gamma = np.square(alpha_pos / beta_c)
-        x_hat = _inverse_gaussian(alpha_pos, gamma, normal[lo:hi], pick[lo:hi])
-        x_hat = np.where(degen, 0.0, x_hat)
-        z_hat = np.where(degen, 0.0, (x_hat - alpha_pos) / beta_c)
-        z_state = np.where(
-            degen, np.maximum(-coeffs.c, 0.0) / (params.nu * params.omega_bar), z_hat
+    def block(lo, hi, scratch):
+        rows = hi - lo
+        u = u_in[lo:hi]
+        flat = scratch.reshape(-1)
+        coeffs, alpha_pos, xz_mean = _coefficients(
+            u, maps, params, flat[: 4 * rows].reshape(rows, 4), lo
         )
-        incr = x_hat - alpha
-        # u - (alpha_factors + ratio * incr) * x - lam x_hat + nu z_state
-        x_hat_factors = np.multiply(coeffs.ratio, incr[:, None], out=u_blk)
-        x_hat_factors += coeffs.alpha_factors
-        x_hat_factors *= params.x
-        np.subtract(u, x_hat_factors, out=u_blk)
-        u_blk -= (params.lam * x_hat)[:, None]
-        u_blk += (params.nu * z_state)[:, None]
-        v_blk = np.matmul(u_blk, params.omega, out=v_new[lo:hi])
-        v_blk += pre.g0_next
-        lowest = float(np.min(v_blk))
-        negative = v_blk < 0.0
-        v_blk[negative] = 0.0
-        log_s_new[lo:hi] = (
-            state.log_s[lo:hi]
-            + params.rate * pre.dt
-            - 0.5 * x_hat
-            + rho * z_hat
-            + np.sqrt((1.0 - rho * rho) * x_hat) * z_price[lo:hi]
-        )
-        np.add(state.x_cum[lo:hi], x_hat, out=x_cum[lo:hi])
-        np.add(state.z_cum[lo:hi], z_state, out=z_cum[lo:hi])
+        alpha, beta_c, c, degen = coeffs.alpha, coeffs.beta_c, coeffs.c, coeffs.degenerate
         live = ~degen
         with np.errstate(invalid="ignore"):
             over = np.max(
@@ -260,20 +293,60 @@ def clp_step(
                 initial=-np.inf,
                 where=np.isfinite(coeffs.beta_limit) & live,
             )
-        value_at_zero = coeffs.c - params.nu * alpha_pos * params.omega_bar / beta_c
-        return (
-            lowest,
-            int(np.count_nonzero(negative)),
+        slopes = (
             int(np.count_nonzero(coeffs.constrained)),
             int(np.count_nonzero(degen)),
             float(np.min(beta_c, initial=np.inf, where=live)),
             float(over),
-            float(np.min(value_at_zero, initial=np.inf, where=live)),
+            float(np.min(c - alpha_pos * nu_omega_bar / beta_c, initial=np.inf, where=live)),
         )
+        del coeffs  # frees beta, beta_limit and constrained, which the block reads no further
+        x_hat = _inverse_gaussian(alpha_pos, np.square(alpha_pos / beta_c),
+                                  normal[lo:hi], pick[lo:hi])
+        x_hat = np.where(live, x_hat, 0.0)
+        z_hat = np.where(live, (x_hat - alpha_pos) / beta_c, 0.0)
+        z_state = np.where(live, z_hat, np.maximum(-c, 0.0) / nu_omega_bar)
+        log_s_new[lo:hi] = (
+            state.log_s[lo:hi]
+            + params.rate * pre.dt
+            - 0.5 * x_hat
+            + rho * z_hat
+            + np.sqrt((1.0 - rho * rho) * x_hat) * z_price[lo:hi]
+        )
+        # the inverse Gaussian MGF cancels the drift correction only where rho beta_c <= 1
+        if rho * np.max(beta_c, initial=0.0, where=live) > 1.0:
+            compensate = (rho * beta_c > 1.0) & live
+            b = beta_c[compensate]
+            log_s_new[lo:hi][compensate] += 2.0 * alpha_pos[compensate] * (rho * b - 1.0) / (b * b)
+        np.add(state.x_cum[lo:hi], x_hat, out=x_cum[lo:hi])
+        np.add(state.z_cum[lo:hi], z_state, out=z_cum[lo:hi])
+        incr = x_hat - alpha
+        ok = xz_mean > 0.0
+        # the stack [u, u s, 1, s, shock] of _StepMaps, one contiguous
+        # row of paths per entry, so that no fill broadcasts along rows N long
+        stack = flat[: width * rows].reshape(width, rows)
+        np.copyto(stack[:n_states], u.T)
+        scale = stack[2 * n_states + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(incr, xz_mean, out=scale)
+        scale[~ok] = 0.0
+        np.multiply(stack[:n_states], scale, out=stack[n_states : 2 * n_states])
+        stack[2 * n_states] = 1.0
+        np.subtract(nu * z_state, params.lam * x_hat, out=stack[2 * n_states + 2])
+        new = np.matmul(stack.T, maps.update, out=u_new[lo:hi])
+        if not np.all(ok):
+            # the split falls back to 1/omega_bar per factor
+            new[~ok] -= np.multiply.outer(incr[~ok] / params.omega_bar, params.x)
+        v_blk = np.matmul(new, params.omega, out=v_new[lo:hi])
+        v_blk += pre.g0_next
+        lowest = float(np.min(v_blk))
+        negative = v_blk < 0.0
+        v_blk[negative] = 0.0
+        return (lowest, int(np.count_nonzero(negative)), *slopes)
 
     # per-block partials in block order, folded as one pass over the blocks would
     lowest, n_clamped, constrained, degenerate, min_beta, max_over, min_at_zero = zip(
-        *_run_blocks(n, block, params.n_states, 2, getattr(stream, "ahead", None))
+        *_run_blocks(n, block, width, 1, getattr(stream, "ahead", None))
     )
     worst = float(np.min(lowest))
     if worst < -_V_ROUNDOFF:

@@ -2,7 +2,11 @@
 
 Both schemes advance the same batch state: log price, factor vector,
 cached variance and running integrated variance, arrays over paths with
-the factor dimension last.  A single path is just a batch of one.  They
+the factor dimension last.  A single path is just a batch of one.  The
+factors are row-major at t0, in every snapshot and in every state a run
+restarts from, since ``PathState.copy`` returns them so; the projection
+step keeps them row-major, and the Euler step writes them column-major
+for its passes.  Neither step's bits depend on the layout it reads.  They
 differ only in how one step advances it, so one driver walks the grid
 for both: it validates the inputs, restarts from a given state, copies
 the state at snapshot times and assembles the output.
@@ -260,6 +264,7 @@ class PathState:
         return self.log_s.shape[0]
 
     def copy(self) -> "PathState":
+        """A deep copy, with row-major factors."""
         return PathState(
             self.t,
             self.log_s.copy(),
@@ -326,8 +331,9 @@ def _simulate(step, params, grid, n_paths: int, seed, snapshot_times=(), initial
     ``step(state, t, t_next, stream, diagnostics)`` returns the state at
     ``t_next``; ``stream`` is the run's stream behind a ``_DrawAhead``.
     The grid starts at t0, or at the time of ``initial`` when
-    restarting; snapshots are ``PathState`` copies, so one can be passed
-    back as ``initial``.
+    restarting; the run starts from a copy of ``initial``, with
+    row-major factors whatever their layout there.  Snapshots are
+    ``PathState`` copies, so one can be passed back as ``initial``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:

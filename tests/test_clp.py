@@ -1,5 +1,7 @@
 """Projection scheme: coefficients, slope constraint, step and simulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
@@ -31,21 +33,44 @@ def interior_states(params, curve, t, n_paths, seed):
                      x_cum=np.zeros(n_paths), z_cum=np.zeros(n_paths))
 
 
+def factor_split(u, pre, params):
+    """The per-factor means E_i[X^n] and the factor split E_i[X^n Z] / E_i[X Z]
+    of a step, from its ``StepPrecompute``; the split is 1/omega_bar per
+    factor where E_i[X Z] <= 0."""
+    alpha_factors = u @ pre.phi1.T + pre.xi
+    kappa = u @ pre.chi.T + pre.psi
+    xz_mean = kappa @ params.omega
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where((xz_mean > 0.0)[:, None], kappa / xz_mean[:, None], 1.0 / params.omega_bar)
+    return alpha_factors, ratio
+
+
+def split_beta_limit(ratio, params):
+    """The largest admissible slope for the factor split ``ratio``."""
+    denom = ratio @ (params.omega * params.x) + params.lam * params.omega_bar
+    return np.where(denom > 0.0, params.nu * params.omega_bar / np.where(denom > 0.0, denom, 1.0),
+                    np.inf)
+
+
 def test_alpha_recomputation(set1, curve):
     st = interior_states(set1, curve, 1.0, N_PROP, 60)
     pre = precompute_step(set1, curve, 1.0, 1.5)
     co = step_coefficients(st, pre, set1)
     manual = (st.u @ pre.phi1.T + pre.xi) @ set1.omega + pre.g0_int
     assert np.allclose(co.alpha, manual, atol=1e-14)
-    assert np.allclose(co.alpha_factors @ set1.omega + pre.g0_int, co.alpha, atol=1e-14)
+    alpha_factors, _ = factor_split(st.u, pre, set1)
+    assert np.allclose(alpha_factors @ set1.omega + pre.g0_int, co.alpha, atol=1e-14)
 
 
 def test_ratio_sums_to_one_over_weights(set1, curve):
     st = interior_states(set1, curve, 1.0, N_PROP, 61)
     pre = precompute_step(set1, curve, 1.0, 1.5)
     co = step_coefficients(st, pre, set1)
-    sums = co.ratio @ set1.omega
+    _, ratio = factor_split(st.u, pre, set1)
+    sums = ratio @ set1.omega
     assert np.allclose(sums, 1.0, atol=1e-12)
+    # the step's slope bound is the one this split gives
+    assert np.allclose(co.beta_limit, split_beta_limit(ratio, set1), rtol=1e-13, atol=0)
 
 
 def test_ratio_fallback_when_cross_moment_nonpositive(set1, curve):
@@ -57,8 +82,10 @@ def test_ratio_fallback_when_cross_moment_nonpositive(set1, curve):
     co = step_coefficients(st, pre, set1)
     kappa_sum = (st.u @ pre.chi.T + pre.psi) @ set1.omega
     assert np.all(kappa_sum <= 0.0), "construction should force the fallback"
-    assert np.allclose(co.ratio, 1.0 / set1.omega_bar, atol=1e-14)
-    assert np.allclose(co.ratio @ set1.omega, 1.0, atol=1e-12)
+    _, ratio = factor_split(st.u, pre, set1)
+    assert np.allclose(ratio, 1.0 / set1.omega_bar, atol=1e-14)
+    assert np.allclose(ratio @ set1.omega, 1.0, atol=1e-12)
+    assert np.allclose(co.beta_limit, split_beta_limit(ratio, set1), rtol=1e-13, atol=0)
 
 
 def test_slope_constraint_invariants(set1, set2, curve):
@@ -272,3 +299,97 @@ def test_heston_collapse_one_step_mean():
     ref = (0.09 - 0.04) * np.exp(-2.0 * 0.5) + 0.04
     m, se = np.mean(out.v), np.std(out.v, ddof=1) / np.sqrt(out.v.size)
     assert abs(m - ref) < 4 * se, f"z={(m - ref) / se:.2f}"
+
+
+def price_factor_log(state, pre, params, seed):
+    """One ``clp_step`` from ``state``: per path, log E[exp(-r dt) S'/S | U]
+    in closed form from the step's alpha and beta_c and the compensator
+    the step added to the log price, and that compensator.
+
+    Integrating out the price normal leaves exp(rho Z - rho^2 X / 2) with
+    Z = (X - alpha) / beta_c and X ~ IG(alpha, (alpha / beta_c)^2), whose
+    mean is exp((alpha / beta_c^2) (1 - |1 - rho beta_c|) - rho alpha / beta_c).
+    """
+    out = clp_step(state, pre, params, RngStream(seed))
+    draws = RngStream(seed)
+    draws.normal(state.n_paths)
+    draws.uniform(state.n_paths)
+    z_price = draws.normal(state.n_paths)
+    x_hat, z_hat = out.x_cum - state.x_cum, out.z_cum - state.z_cum
+    rho = params.rho
+    uncompensated = (state.log_s + params.rate * pre.dt - 0.5 * x_hat + rho * z_hat
+                     + np.sqrt((1.0 - rho * rho) * x_hat) * z_price)
+    compensator = out.log_s - uncompensated
+    co = step_coefficients(state, pre, params)
+    alpha, beta = co.alpha, co.beta_c
+    live = ~co.degenerate
+    mgf = np.where(live, alpha / beta**2 * (1.0 - np.abs(1.0 - rho * beta)) - rho * alpha / beta,
+                   0.0)
+    return compensator + mgf, compensator, np.where(live, rho * beta, -np.inf)
+
+
+def random_params(rng, stressed):
+    """Admissible parameters; ``stressed`` ones have a high vol of vol and
+    rho near 1, where rho beta_c > 1 at large steps."""
+    lam = 0.0 if rng.uniform() < 0.3 else rng.uniform(0.0, 3.0)
+    nu, rho = (rng.uniform(1.5, 3.0), rng.uniform(0.9, 1.0)) if stressed else (
+        rng.uniform(0.05, 2.5), rng.uniform(-1.0, 1.0))
+    return ModelParams.from_hurst(int(rng.integers(1, 13)), rng.uniform(0.05, 0.45), lam=lam,
+                                  nu=nu, v0=rng.uniform(0.01, 0.8), theta=rng.uniform(0.01, 0.8),
+                                  rho=rho)
+
+
+def test_discounted_price_is_a_martingale_in_closed_form(set3, curve):
+    """E[exp(-r dt) S'/S | U] = 1 within 1e-12 on every path, from the
+    step's alpha and beta_c: the compensator is added exactly where
+    rho beta_c > 1, and nowhere else."""
+    cases = [(dataclasses.replace(set3, nu=2.0, rho=1.0), None, 5.0),
+             (dataclasses.replace(set3, nu=1.0, rho=0.9), None, 5.0),
+             (ModelParams.from_hurst(10, 0.1, lam=0.1, nu=1.0, v0=0.1, theta=0.7, rho=0.9),
+              None, 5.0)]
+    rng = np.random.default_rng(12)
+    while len(cases) < 23:
+        stressed = len(cases) % 2 == 0
+        params = random_params(rng, stressed)
+        t = rng.uniform(0.1, 2.0)
+        try:
+            with np.errstate(all="ignore"):
+                snap = simulate_clp(params, curve, np.linspace(0.0, t, 5), 400,
+                                    RngStream(len(cases)), snapshot_times=(t,)).snapshots[t]
+        except (FloatingPointError, ValueError):  # no admissible slope on some path
+            continue
+        dt = (rng.uniform(2.0, 5.0) if stressed
+              else np.exp(rng.uniform(np.log(1 / 252), np.log(5.0))))
+        cases.append((params, snap, dt))
+    compensated = []
+    for k, (params, snap, dt) in enumerate(cases):
+        if snap is None:
+            snap = PathState.initial(params, 20_000)
+        state = PathState(snap.t, np.zeros(snap.n_paths), snap.u, snap.v,
+                          np.zeros(snap.n_paths), np.zeros(snap.n_paths))
+        pre = precompute_step(params, curve, state.t, state.t + dt)
+        try:
+            log_factor, compensator, rho_beta = price_factor_log(state, pre, params, 100 + k)
+        except FloatingPointError:  # no admissible slope on some path
+            assert k >= 3
+            continue
+        assert np.all(np.abs(np.expm1(log_factor)) <= 1e-12), k
+        assert np.all(compensator[rho_beta <= 1.0] == 0.0), k
+        assert np.all(compensator[rho_beta > 1.0] > 0.0), k
+        if np.any(rho_beta > 1.0):
+            compensated.append(k)
+    # the three cases of the defect, and some of the random ones
+    assert compensated[:3] == [0, 1, 2] and len(compensated) > 5
+
+
+@pytest.mark.parametrize("which", ["set1", "set2", "set3", "extreme_set"])
+def test_simulated_states_draw_on_the_boundary_slope(request, curve, which):
+    """On states the scheme reaches from U = 0 the raw slope is never
+    admissible: every live draw uses the boundary slope beta_c."""
+    params = request.getfixturevalue(which)
+    for dt in (1 / 78, 1 / 13, 0.5, 2.15, 5.0):
+        steps = max(4, int(np.ceil(1.0 / dt)))
+        grid = dt * np.arange(steps + 1)
+        d = simulate_clp(params, curve, grid, N_PROP, RngStream(70)).diagnostics
+        assert d.degenerate_mean_draws == 0, dt
+        assert d.constrained_fraction == 1.0, dt

@@ -7,18 +7,26 @@ and spreads those over ``state._WORKERS`` threads; each block writes
 every output row of its paths.  Called on a plain ``RngStream``, as
 here, they draw nothing ahead; the look-ahead of the simulation driver
 is tested in ``test_state.py``.  The references below advance the whole
-batch in one vectorized pass, from the public ``step_coefficients``
-and ``sample_inverse_gaussian``, and the Euler one forms its correlated
-price normals itself; they are the oracle, and the kernels must match
-them bit for bit with one, two or three workers.  The first block and
-the last hold at least ``_BLOCK`` rows, so rows below ``_BLOCK`` fall in
-the first block and rows from ``n - _BLOCK`` on in the last.
+batch in one vectorized pass: the projection one is the kernel's block
+over all paths at once, from the step's maps, ``_coefficients`` (the
+code behind ``step_coefficients``) and ``sample_inverse_gaussian``, and
+the Euler one forms its correlated price normals itself; they are the
+oracle, and the kernels must match them bit for bit with one, two or
+three workers.  The first block and the last hold at least ``_BLOCK``
+rows, so rows below ``_BLOCK`` fall in the first block and rows from
+``n - _BLOCK`` on in the last.
 
 The references run in a spawned child with one BLAS thread, the kernels
 in this process.  OpenBLAS gives the last ``n % 4`` rows of each of its
 threads' shares of a matrix-vector product other bits, so a whole-batch
 product is exact at every size only on one thread; the kernels' blocks
 start on multiples of 4 and keep their bits on any thread count.
+
+The projection step's factor update is one product of the stacked rows
+[u, u s, 1, s, shock] with the step's update matrix.  The explicit
+split it replaced, u - (alpha_factors + ratio (x_hat - alpha)) x
+- lam x_hat + nu z, stays below as ``explicit_split_step``, and the
+kernel must agree with it to a few ulps of the terms.
 
 The Euler oracle is the two-pass update u (1 - x dt) + (nu dW2 - lam v+ dt)
 that the kernel runs, with the product with omega taken on a
@@ -36,6 +44,7 @@ import numpy as np
 import pytest
 
 from liftedheston import (
+    ModelParams,
     PathState,
     RngStream,
     SimDiagnostics,
@@ -51,7 +60,7 @@ from liftedheston import (
 )
 from liftedheston import clp, euler as euler_module, state as state_module
 from liftedheston.state import _BLOCK, _path_blocks
-from test_clp import bad_constant_row, degenerate_state, state_from_rows
+from test_clp import bad_constant_row, degenerate_state, factor_split, state_from_rows
 
 # Two blocks per worker at 1, 2 and 3 workers, and a 3-row tail.
 MANY = 7 * _BLOCK + 39
@@ -92,25 +101,35 @@ def one_thread():
             _reference_in_child, args, kwargs).get(timeout=120)
 
 
-def reference_clp_step(state, pre, params, stream, diagnostics=None):
-    coeffs = step_coefficients(state, pre, params)
-    alpha, beta_c, ratio = coeffs.alpha, coeffs.beta_c, coeffs.ratio
-    degen = coeffs.degenerate
+def reference_clp_step(state, pre, params, stream, diagnostics=None, update=None):
+    """The projection step over the whole batch in one pass, as the kernel's block.
+
+    ``update(state, pre, params, x_hat, z_state)``, if given, replaces the
+    block's stacked product for the new factors, which are then taken
+    row-major, as the kernel writes them.
+    """
     n = state.n_paths
-    alpha_pos = np.where(degen, 1.0, alpha)
-    gamma = np.square(alpha_pos / beta_c)
-    x_hat = sample_inverse_gaussian(stream, alpha_pos, gamma, size=n)
-    x_hat = np.where(degen, 0.0, x_hat)
-    z_hat = np.where(degen, 0.0, (x_hat - alpha_pos) / beta_c)
-    z_state = np.where(degen, np.maximum(-coeffs.c, 0.0) / (params.nu * params.omega_bar), z_hat)
-    incr = x_hat - alpha
-    x_hat_factors = coeffs.alpha_factors + ratio * incr[:, None]
-    u_new = (
-        state.u
-        - x_hat_factors * params.x[None, :]
-        - (params.lam * x_hat)[:, None]
-        + (params.nu * z_state)[:, None]
-    )
+    u = np.ascontiguousarray(state.u)
+    maps = clp._step_maps(pre, params)
+    coeffs, alpha_pos, xz_mean = clp._coefficients(u, maps, params, np.empty((n, 4)))
+    alpha, beta_c, degen = coeffs.alpha, coeffs.beta_c, coeffs.degenerate
+    live = ~degen
+    nu_omega_bar = params.nu * params.omega_bar
+    x_hat = sample_inverse_gaussian(stream, alpha_pos, np.square(alpha_pos / beta_c), size=n)
+    x_hat = np.where(live, x_hat, 0.0)
+    z_hat = np.where(live, (x_hat - alpha_pos) / beta_c, 0.0)
+    z_state = np.where(live, z_hat, np.maximum(-coeffs.c, 0.0) / nu_omega_bar)
+    if update is None:
+        incr = x_hat - alpha
+        ok = xz_mean > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(ok, incr / xz_mean, 0.0)
+        stack = np.vstack((u.T, u.T * scale, np.ones(n), scale,
+                           params.nu * z_state - params.lam * x_hat))
+        u_new = stack.T @ maps.update
+        u_new[~ok] -= np.multiply.outer(incr[~ok] / params.omega_bar, params.x)
+    else:
+        u_new = np.ascontiguousarray(update(state, pre, params, x_hat, z_state))
     v_raw = u_new @ params.omega + pre.g0_next
     negative = v_raw < 0.0
     n_clamped = 0
@@ -134,8 +153,10 @@ def reference_clp_step(state, pre, params, stream, diagnostics=None):
         + rho * z_hat
         + np.sqrt((1.0 - rho * rho) * x_hat) * z_price
     )
+    compensate = (rho * beta_c > 1.0) & live
+    b = beta_c[compensate]
+    log_s_new[compensate] += 2.0 * alpha_pos[compensate] * (rho * b - 1.0) / (b * b)
     if diagnostics is not None:
-        live = ~degen
         diagnostics.total_draws += n
         diagnostics.constrained_draws += int(np.count_nonzero(coeffs.constrained))
         diagnostics.degenerate_mean_draws += int(np.count_nonzero(degen))
@@ -150,7 +171,7 @@ def reference_clp_step(state, pre, params, stream, diagnostics=None):
                 where=np.isfinite(coeffs.beta_limit) & live,
             )
         diagnostics.max_beta_over_limit = max(diagnostics.max_beta_over_limit, float(over))
-        value_at_zero = coeffs.c - params.nu * alpha_pos * params.omega_bar / beta_c
+        value_at_zero = coeffs.c - alpha_pos * nu_omega_bar / beta_c
         diagnostics.min_constraint_at_zero = min(
             diagnostics.min_constraint_at_zero,
             float(np.min(value_at_zero, initial=np.inf, where=live)),
@@ -158,6 +179,16 @@ def reference_clp_step(state, pre, params, stream, diagnostics=None):
         diagnostics.clamped_variance_values += n_clamped
     return PathState(t=pre.t_end, log_s=log_s_new, u=u_new, v=v_new,
                      x_cum=state.x_cum + x_hat, z_cum=state.z_cum + z_state)
+
+
+def explicit_split_step(state, pre, params, x_hat, z_state):
+    """The factor update as the step wrote it before the stacked product:
+    u - (alpha_factors + ratio (x_hat - alpha)) x - lam x_hat + nu z_state."""
+    alpha_factors, ratio = factor_split(state.u, pre, params)
+    alpha = alpha_factors @ params.omega + pre.g0_int
+    x_hat_factors = alpha_factors + ratio * (x_hat - alpha)[:, None]
+    return (state.u - x_hat_factors * params.x[None, :] - (params.lam * x_hat)[:, None]
+            + (params.nu * z_state)[:, None])
 
 
 def two_pass_update(u, v_fix, dw2, params, dt):
@@ -246,6 +277,108 @@ def test_clp_step_degenerate_paths_in_last_block(set3, curve, monkeypatch, one_t
         diag = SimDiagnostics()
         got = clp_step(state, pre, set3, RngStream(12), diag)
         assert_same_step(got, want, diag, diag_ref)
+
+
+def fallback_rows(params, pre, count):
+    """Factor rows, found by a seeded search, that sample (alpha > 0) with
+    E[XZ] <= 0, so that the factor split falls back to 1/omega_bar, and
+    whose boundary slope keeps the variance nonnegative."""
+    rng = np.random.default_rng(1)
+    u = rng.normal(size=(200 * count, params.n_states))
+    u *= 10.0 ** rng.uniform(-3, 1, size=u.shape)
+    keep = []
+    for i in np.flatnonzero((u @ pre.chi.T + pre.psi) @ params.omega <= 0.0):
+        row = u[i : i + 1]
+        try:
+            state = state_from_rows(row, pre.t_start, row @ params.omega)
+            co = step_coefficients(state, pre, params)
+        except FloatingPointError:  # no admissible slope
+            continue
+        if not co.degenerate[0] and co.beta_c[0] <= co.beta_limit[0]:
+            keep.append(i)
+            if len(keep) == count:
+                return u[keep]
+    raise AssertionError("too few fallback rows found")
+
+
+def update_terms(state, pre, params, x_hat, z_state):
+    """The summed magnitudes of the terms of each new factor, the per-path
+    x_hat and alpha in the split counted apart."""
+    u = np.abs(state.u)
+    kappa = state.u @ pre.chi.T + pre.psi
+    xz_mean = kappa @ params.omega
+    alpha_terms = (u @ np.abs(pre.phi1.T) + np.abs(pre.xi)) @ params.omega + abs(pre.g0_int)
+    ok = xz_mean > 0.0
+    scale = (x_hat + alpha_terms) / np.where(ok, xz_mean, params.omega_bar)
+    split = np.where(ok[:, None], u @ np.abs(pre.chi.T) + np.abs(pre.psi), 1.0)
+    return (u + params.x * (u @ np.abs(pre.phi1.T) + np.abs(pre.xi) + split * scale[:, None])
+            + (params.lam * x_hat + params.nu * np.abs(z_state))[:, None])
+
+
+@pytest.mark.parametrize("which,rows", [("set1", "interior"), ("set3", "interior"),
+                                        ("set3", "degenerate"), ("set1", "fallback"),
+                                        ("set3", "fallback")])
+def test_clp_step_agrees_with_explicit_split(request, curve, which, rows):
+    """The stacked product against the explicit split update, to 8 ulps of
+    the summed magnitudes of the update's terms (the product sums 2N + 3
+    of them), on interior states at small and large steps, on degenerate
+    rows and on rows where E[XZ] <= 0; the draws, the price and the
+    running integrals keep their bits."""
+    params = request.getfixturevalue(which)
+    n = 2 * _BLOCK + 37
+    if rows == "degenerate":
+        pre = precompute_step(params, curve, 0.0, 2.15)
+        u = np.zeros((n, params.n_states))
+        u[::997] = degenerate_state(params, pre)[0]
+        cases = [(state_from_rows(u, 0.0, u @ params.omega + params.v0), pre)]
+    else:
+        state = interior_state(params, curve, n, seed=8)
+        cases = [(state, precompute_step(params, curve, 1.0, 1.0 + dt))
+                 for dt in (1 / 78, 0.5, 5.0)]
+        if rows == "fallback":
+            pre = cases[1][1]
+            u = state.u.copy()
+            u[::997] = fallback_rows(params, pre, len(u[::997]))
+            v = u @ params.omega + float(g0(1.0, params, curve))
+            cases = [(state_from_rows(u, 1.0, v), pre)]
+    eps = np.finfo(float).eps
+    for state, pre in cases:
+        diag = SimDiagnostics()
+        got = clp_step(state, pre, params, RngStream(8), diag)
+        old = reference_clp_step(state, pre, params, RngStream(8), update=explicit_split_step)
+        for name in ("log_s", "x_cum", "z_cum"):
+            assert np.array_equal(getattr(got, name), getattr(old, name)), name
+        if rows == "degenerate":
+            assert diag.degenerate_mean_draws == len(u[::997])
+        if rows == "fallback":
+            co = step_coefficients(state, pre, params)
+            xz_mean = (state.u @ pre.chi.T + pre.psi) @ params.omega
+            assert np.count_nonzero((xz_mean <= 0.0) & ~co.degenerate) == len(u[::997])
+        terms = update_terms(state, pre, params, got.x_cum - state.x_cum, got.z_cum - state.z_cum)
+        u_tol = 8 * eps * terms
+        v_tol = u_tol @ params.omega + 8 * eps * (terms @ params.omega + pre.g0_next)
+        assert np.all(np.abs(got.u - old.u) <= u_tol)
+        assert np.all(np.abs(got.v - old.v) <= v_tol)
+        assert not np.array_equal(got.u, old.u)
+
+
+@pytest.mark.parametrize("n_states,n", [(20, _BLOCK + 1), (50, 17)])
+def test_clp_step_bits_do_not_depend_on_the_state_layout(curve, monkeypatch, n_states, n):
+    """The step reads its factors row-major; a column-major state steps to
+    the bits of its row-major copy.  At N = 50 and 17 paths, a product
+    over the column-major rows would round differently."""
+    monkeypatch.setattr(state_module, "_WORKERS", 2)
+    params = ModelParams.from_hurst(n_states, 0.3, lam=0.0, nu=0.31, v0=0.1, theta=0.02, rho=0.7)
+    rows = interior_state(params, curve, n, seed=4)
+    columns = dataclasses.replace(rows, u=np.asfortranarray(rows.u))
+    assert rows.u.flags.c_contiguous and columns.u.flags.f_contiguous
+    pre = precompute_step(params, curve, 1.0, 1.5)
+    got = [clp_step(st, pre, params, RngStream(3), SimDiagnostics()) for st in (rows, columns)]
+    assert all(step.u.flags.c_contiguous for step in got)
+    for name in FIELDS:
+        assert np.array_equal(getattr(got[0], name), getattr(got[1], name)), name
+    co = [step_coefficients(st, pre, params) for st in (rows, columns)]
+    assert np.array_equal(co[0].beta_c, co[1].beta_c)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -372,11 +505,11 @@ def test_constraint_error_names_first_bad_path_globally(set3, curve, monkeypatch
 _REAL_COEFFICIENTS = clp._coefficients
 
 
-def _too_steep(u, pre, params, alpha_factors, ratio, work, first_path=0):
-    out = _REAL_COEFFICIENTS(u, pre, params, alpha_factors, ratio, work, first_path)
+def _too_steep(u, maps, params, out, first_path=0):
+    coeffs, alpha_pos, xz_mean = _REAL_COEFFICIENTS(u, maps, params, out, first_path)
     rows = first_path + np.arange(u.shape[0])
-    out.beta_c = out.beta_c * np.where(rows < _BLOCK, 5.0, 100.0)
-    return out
+    coeffs.beta_c = coeffs.beta_c * np.where(rows < _BLOCK, 5.0, 100.0)
+    return coeffs, alpha_pos, xz_mean
 
 
 def test_roundoff_error_reports_global_minimum(set1, curve, monkeypatch, one_thread):

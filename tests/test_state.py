@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from liftedheston import (
+    ModelParams,
     PathState,
     RngStream,
     SimDiagnostics,
@@ -196,8 +197,8 @@ def test_completed_run_leaves_the_stream_where_stepping_does(set1, curve, monkey
 
 @pytest.mark.parametrize("simulate", [simulate_clp, simulate_euler])
 def test_restart_over_several_blocks_is_bitwise(set1, curve, monkeypatch, simulate):
-    """As above, with the paths cut into blocks on two threads; an Euler
-    snapshot is a row-major copy of the column-major state."""
+    """As above, with the paths cut into blocks on two threads; a snapshot
+    is a row-major copy, also of the Euler step's column-major state."""
     monkeypatch.setattr(state_module, "_WORKERS", 2)
     n, grid = 2 * _BLOCK + 37, [0.0, 0.25, 0.5, 0.75, 1.0]
     full = simulate(set1, curve, grid, n, RngStream(13), snapshot_times=(1.0,))
@@ -207,6 +208,28 @@ def test_restart_over_several_blocks_is_bitwise(set1, curve, monkeypatch, simula
     for name in ("log_s", "u", "v", "x_cum", "z_cum"):
         assert np.array_equal(getattr(leg2.snapshots[1.0], name),
                               getattr(full.snapshots[1.0], name)), name
+
+
+@pytest.mark.parametrize("n_states,n", [(20, _BLOCK + 1), (50, 17)])
+@pytest.mark.parametrize("simulate", [simulate_clp, simulate_euler])
+def test_restart_from_either_factor_layout_is_bitwise(curve, simulate, n_states, n):
+    """Snapshots hold row-major factors, and a restart from a column-major
+    copy of one gives the bits of the uninterrupted run too: set3 over
+    two blocks, and a deep ladder whose C-LP products would round
+    differently over column-major rows."""
+    params = ModelParams.from_hurst(n_states, 0.3, lam=0.0, nu=0.31, v0=0.1, theta=0.02, rho=0.7)
+    grid = [0.0, 0.25, 0.5, 0.75]
+    full = simulate(params, curve, grid, n, RngStream(19), snapshot_times=(0.75,))
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        stream = RngStream(19)
+        snap = simulate(params, curve, grid[:3], n, stream, snapshot_times=(0.5,)).snapshots[0.5]
+        assert snap.u.flags.c_contiguous
+        initial = PathState(snap.t, snap.log_s, layout(snap.u), snap.v, snap.x_cum, snap.z_cum)
+        leg2 = simulate(params, curve, grid[2:], n, stream, snapshot_times=(0.75,), initial=initial)
+        assert leg2.snapshots[0.75].u.flags.c_contiguous
+        for name in ("log_s", "u", "v", "x_cum", "z_cum"):
+            assert np.array_equal(getattr(leg2.snapshots[0.75], name),
+                                  getattr(full.snapshots[0.75], name)), (layout, name)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

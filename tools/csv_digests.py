@@ -35,6 +35,8 @@ MULTI_BLOCK_RUNS = {
     "multi_clp_set1": "simulate --preset set1 --paths 50021 --steps 5",
     "multi_euler_set3": "simulate --preset set3 --scheme euler --paths 20011 --steps 3",
     "multi_vix_set3": "vix --preset set3 --paths 20011 --steps 13",
+    # dt = 5 and 2.15 C-LP steps over several blocks
+    "multi_converge_set3": "converge --preset set3 --paths 20011",
 }
 
 
