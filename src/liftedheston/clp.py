@@ -46,8 +46,7 @@ factors; paths with E[XZ] <= 0, whose split falls back to 1/omega_bar,
 are corrected after it.  The stack is kept factor-major, one contiguous
 row of paths per entry, so that filling it never broadcasts a per-path
 value along rows only N long; the per-path values and the constants
-ride in the matrix product instead.  Each thread reuses one buffer of
-2N + 3 values per path for both products.
+ride in the matrix product instead.
 
 Both products put one path on each output row and take the step's
 matrix column-major.  So arranged, with OpenBLAS 0.3.31 on SkylakeX
@@ -178,22 +177,20 @@ def step_coefficients(
     ``FloatingPointError`` naming the first live path whose c is
     nonpositive, for which no admissible slope exists.
     """
-    u = np.ascontiguousarray(state.u)
-    return _coefficients(u, _step_maps(pre, params), params, np.empty((u.shape[0], 4)))[0]
+    return _coefficients(np.ascontiguousarray(state.u), _step_maps(pre, params), params)[0]
 
 
-def _coefficients(u, maps, params, out, first_path=0):
+def _coefficients(u, maps, params, first_path=0):
     """:func:`step_coefficients` for the row-major factor rows ``u`` (rows, N).
 
-    One product with ``maps.thin``, written into the (rows, 4) ``out``,
-    gives every per-path input; the rest is arithmetic on vectors over
-    paths.  Returns the coefficients, the sampling mean (alpha, or 1 on
-    degenerate paths) and E[XZ].  The rows are paths ``first_path``,
-    ``first_path + 1``, ... of the batch, which is how the error names a
-    path.
+    One product with ``maps.thin`` gives every per-path input; the rest
+    is arithmetic on vectors over paths.  Returns the coefficients, the
+    sampling mean (alpha, or 1 on degenerate paths) and E[XZ].  The rows
+    are paths ``first_path``, ``first_path + 1``, ... of the batch, which
+    is how the error names a path.
     """
     nu_omega_bar = params.nu * params.omega_bar
-    thin = np.matmul(u, maps.thin, out=out)
+    thin = u @ maps.thin
     alpha = thin[:, 0] + maps.thin_shift[0]
     xz_mean = thin[:, 1] + maps.thin_shift[1]
     degenerate = alpha <= 0.0
@@ -266,7 +263,6 @@ def clp_step(
     z_price = stream.normal(n)
     maps = _step_maps(pre, params)
     n_states = params.n_states
-    width = 2 * n_states + 3
     # row-major, as PathState keeps it; another layout would give other bits
     u_in = np.ascontiguousarray(state.u)
     u_new = np.empty(u_in.shape)
@@ -278,13 +274,9 @@ def clp_step(
     rho, nu = params.rho, params.nu
     nu_omega_bar = nu * params.omega_bar
 
-    def block(lo, hi, scratch):
-        rows = hi - lo
+    def block(lo, hi):
         u = u_in[lo:hi]
-        flat = scratch.reshape(-1)
-        coeffs, alpha_pos, xz_mean = _coefficients(
-            u, maps, params, flat[: 4 * rows].reshape(rows, 4), lo
-        )
+        coeffs, alpha_pos, xz_mean = _coefficients(u, maps, params, lo)
         alpha, beta_c, c, degen = coeffs.alpha, coeffs.beta_c, coeffs.c, coeffs.degenerate
         live = ~degen
         with np.errstate(invalid="ignore"):
@@ -324,7 +316,7 @@ def clp_step(
         ok = xz_mean > 0.0
         # the stack [u, u s, 1, s, shock] of _StepMaps, one contiguous
         # row of paths per entry, so that no fill broadcasts along rows N long
-        stack = flat[: width * rows].reshape(width, rows)
+        stack = np.empty((2 * n_states + 3, hi - lo))
         np.copyto(stack[:n_states], u.T)
         scale = stack[2 * n_states + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -346,7 +338,7 @@ def clp_step(
 
     # per-block partials in block order, folded as one pass over the blocks would
     lowest, n_clamped, constrained, degenerate, min_beta, max_over, min_at_zero = zip(
-        *_run_blocks(n, block, width, 1, getattr(stream, "ahead", None))
+        *_run_blocks(n, block, stream)
     )
     worst = float(np.min(lowest))
     if worst < -_V_ROUNDOFF:

@@ -119,7 +119,7 @@ def euler_step(
         np.add(state.z_cum[lo:hi], dw2, out=z_new[lo:hi])
         return float(np.min(v_blk))
 
-    lowest = _run_blocks(n, block, 0, 0, getattr(stream, "ahead", None))
+    lowest = _run_blocks(n, block, stream)
     diagnostics.total_draws += n
     diagnostics.min_variance = min(diagnostics.min_variance, float(np.min(lowest)))
     return PathState(t=t_next, log_s=log_s_new, u=u_new, v=v_new, x_cum=x_new, z_cum=z_new)

@@ -18,9 +18,10 @@ spreads them over one thread per usable CPU.  Each block writes every
 output row of its paths and returns its diagnostics partial; the kernel
 folds the partials in block order.  A step's random numbers are all
 drawn before its blocks start: the driver hands the kernels its stream
-through ``_DrawAhead``, which draws the next step's numbers on the
-calling thread while the current step's blocks run, with the same calls
-in the same order.  Every row goes through the same operations wherever
+through ``_DrawAhead``, and a kernel passes its stream on to
+``_run_blocks``, which then draws the next step's numbers on the calling
+thread while the current step's blocks run, with the same calls in the
+same order.  Every row goes through the same operations wherever
 its block runs, so the bits do not depend on the number of CPUs.
 
 The driver checks every step's state for non-finite values and raises
@@ -114,19 +115,18 @@ def _path_blocks(n: int, workers: int):
     return list(zip(bounds, bounds[1:]))
 
 
-def _run_blocks(n: int, body, width: int, buffers: int, ahead=None) -> list:
-    """``body(lo, hi, *scratch)`` for each block of ``n`` paths; the results in block order.
+def _run_blocks(n: int, body, stream=None) -> list:
+    """``body(lo, hi)`` for each block of ``n`` paths; the results in block order.
 
     The blocks are cut for ``_WORKERS`` threads, and at most one thread
     per block runs them, the calling thread included, so with one CPU or
     one block no thread starts.  The threads claim the blocks in block
     order from a shared counter, so a thread that is held up leaves its
-    blocks to the others.  Each thread owns ``buffers`` (rows, width)
-    scratch arrays, which ``body`` receives cut to its block's rows, and
-    the pool's threads run in a copy of the caller's context, numpy's
-    error state included.  ``ahead()``, if given, runs once on the
-    calling thread after the other threads have started and before it
-    claims a block.
+    blocks to the others, and the pool's threads run in a copy of the
+    caller's context, numpy's error state included.  When ``stream`` is
+    the driver's ``_DrawAhead``, its ``ahead()`` runs once on the calling
+    thread after the other threads have started and before it claims a
+    block.
 
     After a block's exception no block is claimed.  Blocks are claimed in
     order, so every block before the failed one runs to its end, and once
@@ -138,7 +138,6 @@ def _run_blocks(n: int, body, width: int, buffers: int, ahead=None) -> list:
     global _pool
     blocks = _path_blocks(n, _WORKERS)
     workers = min(_WORKERS, len(blocks))
-    rows = max(hi - lo for lo, hi in blocks)
     results = [None] * len(blocks)
     errors = [None] * len(blocks)
     claims = itertools.count()  # next() on it is atomic under the interpreter lock
@@ -146,14 +145,12 @@ def _run_blocks(n: int, body, width: int, buffers: int, ahead=None) -> list:
 
     def run():
         nonlocal failed
-        scratch = [np.empty((rows, width)) for _ in range(buffers)]
         while not failed:
             i = next(claims)
             if i >= len(blocks):
                 return
-            lo, hi = blocks[i]
             try:
-                results[i] = body(lo, hi, *(a[: hi - lo] for a in scratch))
+                results[i] = body(*blocks[i])
             except BaseException as exc:  # raised on the calling thread below
                 errors[i] = exc
                 failed = True
@@ -164,8 +161,8 @@ def _run_blocks(n: int, body, width: int, buffers: int, ahead=None) -> list:
             _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="liftedheston")
         futures = [_pool.submit(contextvars.copy_context().run, run) for _ in range(workers - 1)]
     try:
-        if ahead is not None:
-            ahead()
+        if isinstance(stream, _DrawAhead):
+            stream.ahead()
         run()
     except BaseException:
         failed = True
@@ -186,12 +183,12 @@ class _DrawAhead:
     A step draws through ``normal`` and ``uniform`` as from the
     ``RngStream``.  The arrays drawn ahead for it come back in call order,
     and with none drawn the call goes to the stream.  ``ahead()``, which
-    a kernel hands to ``_run_blocks``, makes the current step's calls
-    again, for the next step, unless ``start_step`` said that the current
-    step is the last.  So the stream meets the calls, sizes and order it
-    would meet without look-ahead, all on the calling thread, and none
-    after the last step: a completed run leaves it where a run that
-    draws each step's numbers in the step leaves it.
+    ``_run_blocks`` calls when a kernel passes it the stream, makes the
+    current step's calls again, for the next step, unless ``start_step``
+    said that the current step is the last.  So the stream meets the
+    calls, sizes and order it would meet without look-ahead, all on the
+    calling thread, and none after the last step: a completed run leaves
+    it where a run that draws each step's numbers in the step leaves it.
     """
 
     def __init__(self, stream: RngStream):
@@ -332,8 +329,9 @@ def _simulate(step, params, grid, n_paths: int, seed, snapshot_times=(), initial
     ``t_next``; ``stream`` is the run's stream behind a ``_DrawAhead``.
     The grid starts at t0, or at the time of ``initial`` when
     restarting; the run starts from a copy of ``initial``, with
-    row-major factors whatever their layout there.  Snapshots are
-    ``PathState`` copies, so one can be passed back as ``initial``.
+    row-major factors whatever their layout there.  ``initial.u`` must be
+    (n_paths, n_states) and its other arrays n_paths long.  Snapshots
+    are ``PathState`` copies, so one can be passed back as ``initial``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -349,8 +347,11 @@ def _simulate(step, params, grid, n_paths: int, seed, snapshot_times=(), initial
             raise ValueError("grid must not start before t0")
         if abs(initial.t - grid[0]) > 1e-12:
             raise ValueError("initial state time must equal grid[0]")
-        if initial.n_paths != n_paths:
-            raise ValueError("initial state does not hold n_paths paths")
+        for name in ("log_s", "u", "v", "x_cum", "z_cum"):
+            want = (n_paths, params.n_states) if name == "u" else (n_paths,)
+            shape = np.shape(getattr(initial, name))
+            if shape != want:
+                raise ValueError(f"initial.{name} has shape {shape}, not {want}")
         state = initial.copy()
     snapshot_times = [float(t) for t in snapshot_times]
     for t_snap in snapshot_times:

@@ -2,7 +2,8 @@
 
 The two 1000-step benchmarks are expensive (about 200k paths each), so
 they are computed once per session and shared by every test that needs
-a fine-grid reference distribution.
+a fine-grid reference distribution.  ``moments_of_x`` is the exact
+second-moment reference that the parameter and scheme tests share.
 """
 
 import os
@@ -20,6 +21,7 @@ from liftedheston import (
     simulate_euler,
     variance_se,
 )
+from liftedheston.params import g0
 
 BENCH_PATHS = 200_000
 BENCH_STEPS = 1000
@@ -60,6 +62,46 @@ def extreme_set():
     # high vol-of-vol against a tiny variance level: the stress case for
     # nonnegativity of the variance update
     return ModelParams.from_hurst(5, 0.3, lam=0.25, nu=0.3, v0=0.02, theta=0.02, rho=0.7)
+
+
+def moments_of_x(params, curve, t_end):
+    """E[X], E[X^2], E[U] and E[U U^T] at t_end, from U = 0 at t0.
+
+    X is the integrated variance over [t0, t_end].  The model is a
+    polynomial process, so the first and second moments of (U, X) solve
+    a closed linear system; with V = g0 + omega . U,
+
+        d E[U_i]/dt     = -x_i E[U_i] - lam E[V]
+        d E[U_i U_j]/dt = -(x_i + x_j) E[U_i U_j]
+                          - lam (E[U_i V] + E[U_j V]) + nu^2 E[V]
+        d E[U_i X]/dt   = E[U_i V] - x_i E[U_i X] - lam E[X V]
+        d E[X^2]/dt     = 2 E[X V]
+
+    from zero.  No path, random number or time step enters.
+    """
+    from scipy.integrate import solve_ivp  # a test extra, needed only here
+
+    n, omega, x = params.n_states, params.omega, params.x
+    lam, nu = params.lam, params.nu
+
+    def rhs(t, y):
+        m, mean_x = y[:n], y[n]
+        uu = y[n + 1 : n + 1 + n * n].reshape(n, n)
+        ux = y[n + 1 + n * n : -1]
+        g = float(g0(t, params, curve))
+        ev = g + omega @ m
+        euv = g * m + uu @ omega
+        exv = g * mean_x + omega @ ux
+        d_uu = -(x[:, None] + x[None, :]) * uu - lam * (euv[:, None] + euv[None, :]) + nu**2 * ev
+        return np.concatenate(
+            (-x * m - lam * ev, [ev], d_uu.ravel(), euv - x * ux - lam * exv, [2.0 * exv])
+        )
+
+    y0 = np.zeros(n * n + 2 * n + 2)
+    sol = solve_ivp(rhs, (params.t0, t_end), y0, method="DOP853", rtol=1e-12, atol=1e-18)
+    assert sol.success
+    y = sol.y[:, -1]
+    return y[n], y[-1], y[:n], y[n + 1 : n + 1 + n * n].reshape(n, n)
 
 
 def _benchmark(params, curve, seed):

@@ -2,17 +2,23 @@
 
 import ast
 import csv
+import functools
+import importlib
+import inspect
 import io
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import liftedheston
+from liftedheston import RngStream
+from liftedheston import state as state_module
 from liftedheston.cli import (
     _KEYS,
     PRESETS,
@@ -572,3 +578,60 @@ def test_package_exports_are_the_layer_exports():
         names.update(mod.__all__)
     assert sorted(liftedheston.__all__) == sorted(names)
     assert all(hasattr(liftedheston, name) for name in liftedheston.__all__)
+
+
+# the modules whose public functions the benchmark's trace wraps
+_TRACED_MODULES = ("cli", "clp", "numerics", "params", "sampling", "euler", "pricing", "state")
+
+
+def test_traced_calls_all_run_on_the_calling_thread(tmp_path, monkeypatch):
+    """The benchmark's trace wraps every public function of the package
+    modules and the stream's draws, the way ``bench/child.py`` does, and
+    keeps its spans on one stack, which holds only while every such call
+    runs on the thread that runs the command.  Three commands with two
+    threads sharing several blocks per step: the blocks call none of
+    them, and the draws of the step ahead stay on the calling thread."""
+    calls = []
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            calls.append((fn.__qualname__, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        return traced
+
+    wrapped = {}
+    for name in _TRACED_MODULES:
+        mod = importlib.import_module(f"liftedheston.{name}")
+        for attr in mod.__all__:
+            fn = getattr(mod, attr)
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                wrapped[id(fn)] = wrap(fn)
+    for name, mod in list(sys.modules.items()):
+        if name == "liftedheston" or name.startswith("liftedheston."):
+            for attr, value in list(vars(mod).items()):
+                if id(value) in wrapped:
+                    monkeypatch.setattr(mod, attr, wrapped[id(value)])
+    for kind in ("normal", "uniform"):
+        monkeypatch.setattr(RngStream, kind, wrap(getattr(RngStream, kind)))
+
+    n = 20011
+    monkeypatch.setattr(state_module, "_WORKERS", 2)
+    monkeypatch.setattr(state_module, "_pool", None)
+    assert len(state_module._path_blocks(n, 2)) >= 4
+    (tmp_path / "conv.cfg").write_text(f"preset = set3\nsteps = 2.5,1.0\npaths = {n}\n"
+                                       "benchmark_steps = 40\n")
+    runs = (["simulate", "--preset", "set1", "--paths", str(n), "--steps", "5"],
+            ["converge", "--config", str(tmp_path / "conv.cfg")],
+            ["vix", "--preset", "set3", "--paths", str(n), "--steps", "13"])
+    try:
+        for args in runs:
+            assert run_cli(args, tmp_path, args[0])[0] == 0
+        assert state_module._pool is not None  # the blocks ran on two threads
+    finally:
+        if state_module._pool is not None:
+            state_module._pool.shutdown()
+    names = {name for name, _ in calls}
+    assert {"clp_step", "euler_step", "RngStream.normal", "RngStream.uniform"} <= names
+    assert {thread for _, thread in calls} == {threading.get_ident()}

@@ -21,6 +21,8 @@ from liftedheston import (
     step_coefficients,
 )
 
+from conftest import moments_of_x
+
 N_PROP = 2000  # paths used by the randomized property checks
 
 
@@ -393,3 +395,61 @@ def test_simulated_states_draw_on_the_boundary_slope(request, curve, which):
         d = simulate_clp(params, curve, grid, N_PROP, RngStream(70)).diagnostics
         assert d.degenerate_mean_draws == 0, dt
         assert d.constrained_fraction == 1.0, dt
+
+
+class _FixedDraws:
+    """A stream that returns the given arrays, one per call, in call order."""
+
+    def __init__(self, *draws):
+        self._draws = list(draws)
+
+    def normal(self, size=None):
+        return self._draws.pop(0)
+
+    uniform = normal
+
+
+_TRADE_OFF_STEPS = (1e-3, 1 / 78, 1 / 13, 0.5, 2.15)
+# per step above: B, then the scheme's Var(X_hat) and Var(V') over the exact values
+_TRADE_OFF = {
+    "set1": ((2.980, 2.780, 2.260, 1.934, 2.147),
+             (2.965, 2.624, 1.824, 1.190, 1.007),
+             (0.9949, 0.9440, 0.8068, 0.6153, 0.4691)),
+    "set3": ((2.976, 2.813, 2.699, 2.712, 2.747),
+             (2.884, 2.160, 1.510, 1.171, 1.032),
+             (0.9689, 0.7676, 0.5595, 0.4317, 0.3755)),
+}
+
+
+@pytest.mark.parametrize("which", ["set1", "set3"])
+def test_one_draw_trades_the_variance_of_x_against_that_of_v(request, curve, which):
+    """One step from U = 0.  An update V' = E[V'] + k (X_hat - alpha) with
+    exact means and X_hat > 0 stays nonnegative only if k <= E[V'] / alpha,
+    so Var(X_hat) >= (alpha / E[V'])^2 Var(V'): with Var(V') exact,
+    Var(X_hat) is at least B = (alpha / E[V'])^2 Var(V') / Var(X) times
+    exact.  Against the exact second moments, B and the scheme's two
+    variance ratios keep their values, and since the boundary slope puts
+    V' = 0 at X_hat = 0, the scheme meets the bound with equality: its
+    Var(V') ratio times B is its Var(X_hat) ratio."""
+    params = request.getfixturevalue(which)
+    omega = params.omega
+    for h, *want in zip(_TRADE_OFF_STEPS, *_TRADE_OFF[which]):
+        t_end = params.t0 + h
+        mean_x, second_x, mean_u, second_u = moments_of_x(params, curve, t_end)
+        var_x = second_x - mean_x**2
+        var_v = omega @ (second_u - np.outer(mean_u, mean_u)) @ omega
+        mean_v = float(g0(t_end, params, curve)) + omega @ mean_u
+        bound = (mean_x / mean_v) ** 2 * var_v / var_x
+
+        pre = precompute_step(params, curve, params.t0, t_end)
+        state = PathState.initial(params, 2)
+        co = step_coefficients(state, pre, params)
+        var_x_hat = co.alpha[0] * co.beta_c[0] ** 2  # IG(alpha, (alpha / beta_c)^2)
+        # a zero normal draws X_hat = alpha on the first path; V' is affine in X_hat
+        draws = _FixedDraws(np.array([0.0, 1.0]), np.full(2, 0.5), np.zeros(2))
+        out = clp_step(state, pre, params, draws)
+        assert out.x_cum[0] == co.alpha[0]
+        slope = (out.v[1] - out.v[0]) / (out.x_cum[1] - out.x_cum[0])
+        got = (bound, var_x_hat / var_x, slope**2 * var_x_hat / var_v)
+        assert got == pytest.approx(want, rel=1e-3), h
+        assert got[2] * got[0] == pytest.approx(got[1], rel=1e-12, abs=0), h

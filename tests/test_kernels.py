@@ -111,7 +111,7 @@ def reference_clp_step(state, pre, params, stream, diagnostics=None, update=None
     n = state.n_paths
     u = np.ascontiguousarray(state.u)
     maps = clp._step_maps(pre, params)
-    coeffs, alpha_pos, xz_mean = clp._coefficients(u, maps, params, np.empty((n, 4)))
+    coeffs, alpha_pos, xz_mean = clp._coefficients(u, maps, params)
     alpha, beta_c, degen = coeffs.alpha, coeffs.beta_c, coeffs.degenerate
     live = ~degen
     nu_omega_bar = params.nu * params.omega_bar
@@ -505,8 +505,8 @@ def test_constraint_error_names_first_bad_path_globally(set3, curve, monkeypatch
 _REAL_COEFFICIENTS = clp._coefficients
 
 
-def _too_steep(u, maps, params, out, first_path=0):
-    coeffs, alpha_pos, xz_mean = _REAL_COEFFICIENTS(u, maps, params, out, first_path)
+def _too_steep(u, maps, params, first_path=0):
+    coeffs, alpha_pos, xz_mean = _REAL_COEFFICIENTS(u, maps, params, first_path)
     rows = first_path + np.arange(u.shape[0])
     coeffs.beta_c = coeffs.beta_c * np.where(rows < _BLOCK, 5.0, 100.0)
     return coeffs, alpha_pos, xz_mean

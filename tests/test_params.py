@@ -23,6 +23,8 @@ from liftedheston import (
 )
 from liftedheston.params import _curve_ode, _mean_moments
 
+from conftest import moments_of_x
+
 
 def heston_collapse(lam=2.0, theta=0.04, v0=0.09, nu=0.2, rho=-0.3):
     """Single factor with zero speed: the classical model as a special case."""
@@ -95,43 +97,6 @@ def test_kernel_mass_scaling_equals_lam_nu_scaling(curve):
     assert coeffs[0].beta[0] == pytest.approx(coeffs[1].beta[0], rel=1e-12)
 
 
-
-def _moments_of_x(params, curve, t_end):
-    """E[X] and E[X^2] of the integrated variance over [t0, t_end].
-
-    The model is a polynomial process, so the first and second moments of
-    (U, X) solve a closed linear system; with V = g0 + omega . U,
-
-        d E[U_i]/dt     = -x_i E[U_i] - lam E[V]
-        d E[U_i U_j]/dt = -(x_i + x_j) E[U_i U_j]
-                          - lam (E[U_i V] + E[U_j V]) + nu^2 E[V]
-        d E[U_i X]/dt   = E[U_i V] - x_i E[U_i X] - lam E[X V]
-        d E[X^2]/dt     = 2 E[X V]
-
-    from zero.  No path, random number or time step enters.
-    """
-    n, omega, x = params.n_states, params.omega, params.x
-    lam, nu = params.lam, params.nu
-
-    def rhs(t, y):
-        m, mean_x = y[:n], y[n]
-        uu = y[n + 1 : n + 1 + n * n].reshape(n, n)
-        ux = y[n + 1 + n * n : -1]
-        g = float(g0(t, params, curve))
-        ev = g + omega @ m
-        euv = g * m + uu @ omega
-        exv = g * mean_x + omega @ ux
-        d_uu = -(x[:, None] + x[None, :]) * uu - lam * (euv[:, None] + euv[None, :]) + nu**2 * ev
-        return np.concatenate(
-            (-x * m - lam * ev, [ev], d_uu.ravel(), euv - x * ux - lam * exv, [2.0 * exv])
-        )
-
-    y0 = np.zeros(n * n + 2 * n + 2)
-    sol = solve_ivp(rhs, (params.t0, t_end), y0, method="DOP853", rtol=1e-12, atol=1e-18)
-    assert sol.success
-    return sol.y[n, -1], sol.y[-1, -1]
-
-
 def test_roughness_sensitivity_splits_into_mass_and_shape(set1, curve):
     """The H sensitivity of the criterion 09 residual second moment
     E[X^2] - (alpha beta^2 + alpha^2) over [0, 0.5], with E[X^2] from the
@@ -141,7 +106,7 @@ def test_roughness_sensitivity_splits_into_mass_and_shape(set1, curve):
     positive, and the total is negative."""
 
     def residual(params):
-        mean_x, second_x = _moments_of_x(params, curve, 0.5)
+        mean_x, second_x, _, _ = moments_of_x(params, curve, 0.5)
         pre = precompute_step(params, curve, 0.0, 0.5)
         coeffs = step_coefficients(PathState.initial(params, 1), pre, params)
         alpha, beta = float(coeffs.alpha[0]), float(coeffs.beta[0])
@@ -347,7 +312,7 @@ def test_exact_means_match_stiff_ode_reference(name, curve, request):
 
 def test_exact_mean_x_matches_moment_equations(set1, set2, curve):
     for params in (set1, set2):
-        mean_x, _ = _moments_of_x(params, curve, 1.0)
+        mean_x = moments_of_x(params, curve, 1.0)[0]
         assert expected_integrated_variance(1.0, params, curve) == pytest.approx(mean_x, rel=1e-10)
 
 

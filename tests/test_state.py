@@ -22,7 +22,7 @@ from liftedheston import (
     variance_se,
 )
 from liftedheston import state as state_module
-from liftedheston.state import _BLOCK, _path_blocks, _run_blocks
+from liftedheston.state import _BLOCK, _DrawAhead, _path_blocks, _run_blocks
 
 
 def test_initial_state_layout(set1):
@@ -195,6 +195,20 @@ def test_completed_run_leaves_the_stream_where_stepping_does(set1, curve, monkey
     assert np.array_equal(stream.normal(9), want) and np.array_equal(plain.normal(9), want)
 
 
+@pytest.mark.parametrize("field,cut", [
+    ("u", np.s_[:5]), ("u", np.s_[:, :3]), ("log_s", np.s_[:5]), ("v", np.s_[:5]),
+    ("x_cum", np.s_[:5]), ("z_cum", np.s_[:5]),
+])
+@pytest.mark.parametrize("simulate", [simulate_clp, simulate_euler])
+def test_restart_rejects_an_initial_state_of_the_wrong_shape(set1, curve, simulate, field, cut):
+    """A restart state whose field does not hold one row per path, or
+    whose factors are not N wide, is refused with the field's name."""
+    initial = PathState.initial(set1, 10)
+    setattr(initial, field, getattr(initial, field)[cut])
+    with pytest.raises(ValueError, match=rf"^initial\.{field} has shape "):
+        simulate(set1, curve, [0.0, 0.1], 10, RngStream(1), initial=initial)
+
+
 @pytest.mark.parametrize("simulate", [simulate_clp, simulate_euler])
 def test_restart_over_several_blocks_is_bitwise(set1, curve, monkeypatch, simulate):
     """As above, with the paths cut into blocks on two threads; a snapshot
@@ -232,15 +246,35 @@ def test_restart_from_either_factor_layout_is_bitwise(curve, simulate, n_states,
                                   getattr(full.snapshots[0.75], name)), (layout, name)
 
 
+class _ThreadRecorder:
+    """A stream that notes the thread of each draw and draws zeros."""
+
+    def __init__(self):
+        self.threads = []
+
+    def normal(self, size=None):
+        self.threads.append(threading.current_thread())
+        return np.zeros(size)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_run_blocks_runs_ahead_once_on_the_calling_thread(monkeypatch, workers):
+    """Given the driver's stream, the dispatch draws the next step's
+    numbers once, on the calling thread; given any other stream, it
+    draws nothing."""
     monkeypatch.setattr(state_module, "_WORKERS", workers)
     n = 7 * _BLOCK + 39
-    ahead = []
-    got = _run_blocks(n, lambda lo, hi, a, b: (lo, hi, a.shape, b.shape), 3, 2,
-                      ahead=lambda: ahead.append(threading.current_thread()))
-    assert ahead == [threading.current_thread()]
-    assert got == [(lo, hi, (hi - lo, 3), (hi - lo, 3)) for lo, hi in _path_blocks(n, workers)]
+    recorder = _ThreadRecorder()
+    draws = _DrawAhead(recorder)
+    draws.start_step(last=False)
+    draws.normal(3)
+    for _ in range(2):
+        got = _run_blocks(n, lambda lo, hi: (lo, hi), draws)
+        assert recorder.threads == [threading.current_thread()] * 2
+        assert got == _path_blocks(n, workers)
+    plain = _ThreadRecorder()
+    assert _run_blocks(n, lambda lo, hi: (lo, hi), plain) == _path_blocks(n, workers)
+    assert plain.threads == []
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -268,7 +302,7 @@ def test_run_blocks_raises_the_first_failure_in_block_order(monkeypatch, workers
         return i
 
     with pytest.raises(ValueError, match="^block 1$"):
-        _run_blocks(n, body, 0, 0)
+        _run_blocks(n, body)
     assert sorted(ran) == (list(range(len(blocks))) if workers > 1 else [0, 1])
 
 
@@ -289,7 +323,7 @@ def test_run_blocks_claims_each_block_once_under_contention(monkeypatch):
                 seen.append(lo)
                 return lo
 
-            assert _run_blocks(n, body, 0, 0, ahead=lambda: None) == starts
+            assert _run_blocks(n, body) == starts
             assert sorted(seen) == starts
     finally:
         sys.setswitchinterval(interval)
