@@ -66,8 +66,21 @@ roundoff check on the global minimum follow the blocks.  Each element
 goes through the same operations in the same order as in the
 whole-batch call, and the partials are folded in block order, so the
 output is bitwise that of the unblocked step on any number of CPUs.
-The block body calls only numpy and this package's private helpers,
-and sets the numpy error state it needs itself.
+The block body calls only numpy and this package's private helpers;
+the step sets the numpy error state around the dispatch, whose threads
+run in a copy of the caller's context.
+
+The block computes every row as the common case: a live path
+(alpha > 0) with E[XZ] > 0, a bounded slope, a raw slope outside the
+feasible set so that the boundary slope is drawn, rho beta_c <= 1 and a
+variance that needs no clamp.  Simulated runs of the presets meet
+nothing else.  Each rare kind of row -- degenerate, the 1/omega_bar
+split, an unbounded slope, a feasible raw slope, the compensator, a
+clamped variance -- is found behind one cheap test, a reduction such as
+the minimum of alpha, and only when the test fires are its rows found
+and their values overwritten by index.  So a block of ordinary rows
+builds no mask over its paths, and a rare row goes through the same
+operations as in a pass with masks, which keeps its bits.
 
 ``simulate_clp`` runs this step over a grid through the driver in
 ``state.py`` that the Euler baseline shares.
@@ -113,6 +126,32 @@ class ProjectionCoeffs:
     c: np.ndarray
     beta_c: np.ndarray
     constrained: np.ndarray
+
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+@dataclass
+class _Slopes:
+    """:class:`ProjectionCoeffs` of a run of rows, its rare rows by index.
+
+    ``mean`` is the sampling mean: ``alpha`` itself, or a copy with 1 on
+    the ``degenerate`` rows (alpha <= 0).  ``fallback`` holds the rows
+    with E[XZ] <= 0 (or NaN), whose factor split falls back to
+    1/omega_bar, and ``feasible`` the live rows that keep their raw
+    slope; every other live row samples at the boundary slope.
+    """
+
+    alpha: np.ndarray
+    mean: np.ndarray
+    xz_mean: np.ndarray
+    beta: np.ndarray
+    beta_limit: np.ndarray
+    c: np.ndarray
+    beta_c: np.ndarray
+    degenerate: np.ndarray
+    fallback: np.ndarray
+    feasible: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -177,56 +216,87 @@ def step_coefficients(
     ``FloatingPointError`` naming the first live path whose c is
     nonpositive, for which no admissible slope exists.
     """
-    return _coefficients(np.ascontiguousarray(state.u), _step_maps(pre, params), params)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = _coefficients(np.ascontiguousarray(state.u), _step_maps(pre, params), params)
+    return _projection_coeffs(slopes)
 
 
-def _coefficients(u, maps, params, first_path=0):
+def _projection_coeffs(slopes: _Slopes) -> ProjectionCoeffs:
+    """The coefficients with the rare rows as masks over all rows."""
+    degenerate = np.zeros(slopes.alpha.size, dtype=bool)
+    degenerate[slopes.degenerate] = True
+    constrained = ~degenerate
+    constrained[slopes.feasible] = False
+    return ProjectionCoeffs(alpha=slopes.alpha, beta=slopes.beta, degenerate=degenerate,
+                            beta_limit=slopes.beta_limit, c=slopes.c, beta_c=slopes.beta_c,
+                            constrained=constrained)
+
+
+def _coefficients(u, maps, params, first_path=0) -> _Slopes:
     """:func:`step_coefficients` for the row-major factor rows ``u`` (rows, N).
 
     One product with ``maps.thin`` gives every per-path input; the rest
-    is arithmetic on vectors over paths.  Returns the coefficients, the
-    sampling mean (alpha, or 1 on degenerate paths) and E[XZ].  The rows
-    are paths ``first_path``, ``first_path + 1``, ... of the batch, which
-    is how the error names a path.
+    is arithmetic on vectors over paths, each computed for every row as
+    the common case: live (alpha > 0), E[XZ] > 0, a bounded slope and a
+    raw slope outside the feasible set.  One reduction per kind of rare
+    row tells whether the rows hold any; only then are they found and
+    their values overwritten by index.  The rows are paths
+    ``first_path``, ``first_path + 1``, ... of the batch, which is how
+    the error names a path.  The caller silences numpy's divide and
+    invalid warnings, which the rows about to be overwritten may raise.
     """
     nu_omega_bar = params.nu * params.omega_bar
     thin = u @ maps.thin
     alpha = thin[:, 0] + maps.thin_shift[0]
     xz_mean = thin[:, 1] + maps.thin_shift[1]
-    degenerate = alpha <= 0.0
-    live = ~degenerate
-    # degenerate paths never sample, so give them a harmless positive mean
-    alpha_pos = np.where(live, alpha, 1.0)
-    beta = xz_mean / alpha_pos
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # ratio . omega x, the factor split's weighted sum; 1/omega_bar per factor where E[XZ] <= 0
-        split_wx = np.where(xz_mean > 0.0, (thin[:, 2] + maps.thin_shift[2]) / xz_mean,
-                            params.omega @ params.x / params.omega_bar)
-        denom = split_wx + params.lam * params.omega_bar
-        beta_limit = np.where(denom > 0.0, nu_omega_bar / denom, np.inf)
+    split_wx = thin[:, 2] + maps.thin_shift[2]
+    c = thin[:, 3] + maps.thin_shift[3]
+    # a NaN fails each "> 0" test and sends the rows to the exact search
+    degenerate = _NO_ROWS if alpha.min() > 0.0 else np.flatnonzero(alpha <= 0.0)
+    fallback = _NO_ROWS if xz_mean.min() > 0.0 else np.flatnonzero(~(xz_mean > 0.0))
+    # ratio . omega x, the factor split's weighted sum; 1/omega_bar per factor where E[XZ] <= 0
+    split_wx /= xz_mean
+    if fallback.size:
+        split_wx[fallback] = params.omega @ params.x / params.omega_bar
     # the variance after the step at X_hat = Z_hat = 0
-    c = (thin[:, 3] + maps.thin_shift[3]) + alpha * split_wx
-    bad_c = (c <= 0.0) & live
-    if np.any(bad_c):
-        bad = int(np.argmax(bad_c))
-        raise FloatingPointError(
-            f"constraint constant nonpositive (path {first_path + bad}, c={c[bad]:.3e}); "
-            f"no admissible slope exists"
-        )
-    # degenerate paths never sample, and their c may be 0, so divide by a harmless 1 instead
-    boundary = alpha_pos * nu_omega_bar / np.where(live, c, 1.0)
-    # with c > 0, c - nu alpha omega_bar / beta >= 0 holds iff beta >= boundary
-    feasible = (beta >= boundary) & (beta <= beta_limit) & live
-    coeffs = ProjectionCoeffs(
-        alpha=alpha,
-        beta=beta,
-        degenerate=degenerate,
-        beta_limit=beta_limit,
-        c=c,
-        beta_c=np.where(feasible, beta, boundary),
-        constrained=live ^ feasible,
-    )
-    return coeffs, alpha_pos, xz_mean
+    c += alpha * split_wx
+    if not c.min() > 0.0:
+        bad_c = c <= 0.0
+        bad_c[degenerate] = False
+        if bad_c.any():
+            bad = int(np.argmax(bad_c))
+            raise FloatingPointError(
+                f"constraint constant nonpositive (path {first_path + bad}, c={c[bad]:.3e}); "
+                f"no admissible slope exists"
+            )
+    mean = alpha
+    if degenerate.size:
+        # degenerate paths never sample, so give them a harmless positive mean
+        mean = alpha.copy()
+        mean[degenerate] = 1.0
+    beta = xz_mean / mean
+    denom = split_wx
+    denom += params.lam * params.omega_bar
+    beta_limit = nu_omega_bar / denom
+    if not denom.min() > 0.0:
+        beta_limit[~(denom > 0.0)] = np.inf
+    beta_c = mean * nu_omega_bar
+    beta_c /= c
+    if degenerate.size:
+        # their c may be 0, so their boundary slope divides by a harmless 1 instead
+        beta_c[degenerate] = nu_omega_bar
+    # beta_c is the boundary slope so far; with c > 0,
+    # c - nu alpha omega_bar / beta >= 0 holds iff beta >= boundary
+    feasible = _NO_ROWS
+    candidates = beta >= beta_c
+    if candidates.any():
+        candidates &= beta <= beta_limit
+        candidates[degenerate] = False
+        feasible = np.flatnonzero(candidates)
+        beta_c[feasible] = beta[feasible]
+    return _Slopes(alpha=alpha, mean=mean, xz_mean=xz_mean, beta=beta, beta_limit=beta_limit,
+                   c=c, beta_c=beta_c, degenerate=degenerate, fallback=fallback,
+                   feasible=feasible)
 
 
 def clp_step(
@@ -276,28 +346,42 @@ def clp_step(
 
     def block(lo, hi):
         u = u_in[lo:hi]
-        coeffs, alpha_pos, xz_mean = _coefficients(u, maps, params, lo)
-        alpha, beta_c, c, degen = coeffs.alpha, coeffs.beta_c, coeffs.c, coeffs.degenerate
-        live = ~degen
-        with np.errstate(invalid="ignore"):
-            over = np.max(
-                beta_c / coeffs.beta_limit - 1.0,
-                initial=-np.inf,
-                where=np.isfinite(coeffs.beta_limit) & live,
-            )
+        sl = _coefficients(u, maps, params, lo)
+        alpha, mean, beta_c, c, degenerate = sl.alpha, sl.mean, sl.beta_c, sl.c, sl.degenerate
+        # the reductions leave out degenerate rows, and unbounded slopes
+        # for the slope's excess over its limit
+        live = True
+        if degenerate.size:
+            live = np.ones(hi - lo, dtype=bool)
+            live[degenerate] = False
+        ratio = beta_c / sl.beta_limit  # 0 where the slope is unbounded
+        top = ratio.max(initial=-np.inf, where=live)
+        if top > 0.0:
+            # x - 1 rounds monotonically, so max(ratio - 1) is the max ratio less 1
+            over = top - 1.0
+        else:
+            over = np.max(ratio - 1.0, initial=-np.inf, where=np.isfinite(sl.beta_limit) & live)
         slopes = (
-            int(np.count_nonzero(coeffs.constrained)),
-            int(np.count_nonzero(degen)),
-            float(np.min(beta_c, initial=np.inf, where=live)),
+            hi - lo - degenerate.size - sl.feasible.size,
+            degenerate.size,
+            float(beta_c.min(initial=np.inf, where=live)),
             float(over),
-            float(np.min(c - alpha_pos * nu_omega_bar / beta_c, initial=np.inf, where=live)),
+            float((c - mean * nu_omega_bar / beta_c).min(initial=np.inf, where=live)),
         )
-        del coeffs  # frees beta, beta_limit and constrained, which the block reads no further
-        x_hat = _inverse_gaussian(alpha_pos, np.square(alpha_pos / beta_c),
-                                  normal[lo:hi], pick[lo:hi])
-        x_hat = np.where(live, x_hat, 0.0)
-        z_hat = np.where(live, (x_hat - alpha_pos) / beta_c, 0.0)
-        z_state = np.where(live, z_hat, np.maximum(-c, 0.0) / nu_omega_bar)
+        fallback, xz_mean = sl.fallback, sl.xz_mean
+        del sl, ratio, live  # frees beta and beta_limit, which the block reads no further
+        x_hat = _inverse_gaussian(mean, np.square(mean / beta_c), normal[lo:hi], pick[lo:hi])
+        z_hat = x_hat - mean
+        z_hat /= beta_c
+        z_state = z_hat
+        if degenerate.size:
+            # the alpha -> 0+ limit: no variance sampled, a driver that
+            # moves the price by nothing and the state by the least that
+            # keeps the variance nonnegative
+            x_hat[degenerate] = 0.0
+            z_hat[degenerate] = 0.0
+            z_state = z_hat.copy()
+            z_state[degenerate] = np.maximum(-c[degenerate], 0.0) / nu_omega_bar
         log_s_new[lo:hi] = (
             state.log_s[lo:hi]
             + params.rate * pre.dt
@@ -306,40 +390,44 @@ def clp_step(
             + np.sqrt((1.0 - rho * rho) * x_hat) * z_price[lo:hi]
         )
         # the inverse Gaussian MGF cancels the drift correction only where rho beta_c <= 1
-        if rho * np.max(beta_c, initial=0.0, where=live) > 1.0:
-            compensate = (rho * beta_c > 1.0) & live
+        if rho * beta_c.max() > 1.0:
+            compensate = rho * beta_c > 1.0
+            compensate[degenerate] = False
             b = beta_c[compensate]
-            log_s_new[lo:hi][compensate] += 2.0 * alpha_pos[compensate] * (rho * b - 1.0) / (b * b)
+            log_s_new[lo:hi][compensate] += 2.0 * mean[compensate] * (rho * b - 1.0) / (b * b)
         np.add(state.x_cum[lo:hi], x_hat, out=x_cum[lo:hi])
         np.add(state.z_cum[lo:hi], z_state, out=z_cum[lo:hi])
         incr = x_hat - alpha
-        ok = xz_mean > 0.0
+        del alpha, mean, beta_c, c  # read no further; freed before the stack is allocated
         # the stack [u, u s, 1, s, shock] of _StepMaps, one contiguous
         # row of paths per entry, so that no fill broadcasts along rows N long
         stack = np.empty((2 * n_states + 3, hi - lo))
         np.copyto(stack[:n_states], u.T)
-        scale = stack[2 * n_states + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(incr, xz_mean, out=scale)
-        scale[~ok] = 0.0
+        scale = np.divide(incr, xz_mean, out=stack[2 * n_states + 1])
+        if fallback.size:
+            scale[fallback] = 0.0
         np.multiply(stack[:n_states], scale, out=stack[n_states : 2 * n_states])
         stack[2 * n_states] = 1.0
         np.subtract(nu * z_state, params.lam * x_hat, out=stack[2 * n_states + 2])
         new = np.matmul(stack.T, maps.update, out=u_new[lo:hi])
-        if not np.all(ok):
+        if fallback.size:
             # the split falls back to 1/omega_bar per factor
-            new[~ok] -= np.multiply.outer(incr[~ok] / params.omega_bar, params.x)
+            new[fallback] -= np.multiply.outer(incr[fallback] / params.omega_bar, params.x)
         v_blk = np.matmul(new, params.omega, out=v_new[lo:hi])
         v_blk += pre.g0_next
-        lowest = float(np.min(v_blk))
-        negative = v_blk < 0.0
-        v_blk[negative] = 0.0
-        return (lowest, int(np.count_nonzero(negative)), *slopes)
+        lowest = float(v_blk.min())
+        n_clamped = 0
+        if lowest < 0.0:
+            negative = v_blk < 0.0
+            n_clamped = int(np.count_nonzero(negative))
+            v_blk[negative] = 0.0
+        return (lowest, n_clamped, *slopes)
 
+    # the blocks run in a copy of this context, so this error state holds in them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        partials = _run_blocks(n, block, stream)
     # per-block partials in block order, folded as one pass over the blocks would
-    lowest, n_clamped, constrained, degenerate, min_beta, max_over, min_at_zero = zip(
-        *_run_blocks(n, block, stream)
-    )
+    lowest, n_clamped, constrained, degenerate, min_beta, max_over, min_at_zero = zip(*partials)
     worst = float(np.min(lowest))
     if worst < -_V_ROUNDOFF:
         raise FloatingPointError(

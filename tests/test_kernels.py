@@ -111,7 +111,9 @@ def reference_clp_step(state, pre, params, stream, diagnostics=None, update=None
     n = state.n_paths
     u = np.ascontiguousarray(state.u)
     maps = clp._step_maps(pre, params)
-    coeffs, alpha_pos, xz_mean = clp._coefficients(u, maps, params)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = clp._coefficients(u, maps, params)
+    coeffs, alpha_pos, xz_mean = clp._projection_coeffs(slopes), slopes.mean, slopes.xz_mean
     alpha, beta_c, degen = coeffs.alpha, coeffs.beta_c, coeffs.degenerate
     live = ~degen
     nu_omega_bar = params.nu * params.omega_bar
@@ -277,6 +279,158 @@ def test_clp_step_degenerate_paths_in_last_block(set3, curve, monkeypatch, one_t
         diag = SimDiagnostics()
         got = clp_step(state, pre, set3, RngStream(12), diag)
         assert_same_step(got, want, diag, diag_ref)
+
+
+def masked_coefficients(u, maps, params):
+    """The projection coefficients as whole-batch masks and ``np.where``
+    selections, as ``clp._coefficients`` computed them before it patched
+    its rare rows by index."""
+    nu_omega_bar = params.nu * params.omega_bar
+    thin = u @ maps.thin
+    alpha = thin[:, 0] + maps.thin_shift[0]
+    xz_mean = thin[:, 1] + maps.thin_shift[1]
+    degenerate = alpha <= 0.0
+    live = ~degenerate
+    alpha_pos = np.where(live, alpha, 1.0)
+    beta = xz_mean / alpha_pos
+    with np.errstate(divide="ignore", invalid="ignore"):
+        split_wx = np.where(xz_mean > 0.0, (thin[:, 2] + maps.thin_shift[2]) / xz_mean,
+                            params.omega @ params.x / params.omega_bar)
+        denom = split_wx + params.lam * params.omega_bar
+        beta_limit = np.where(denom > 0.0, nu_omega_bar / denom, np.inf)
+    c = (thin[:, 3] + maps.thin_shift[3]) + alpha * split_wx
+    boundary = alpha_pos * nu_omega_bar / np.where(live, c, 1.0)
+    feasible = (beta >= boundary) & (beta <= beta_limit) & live
+    return clp.ProjectionCoeffs(alpha=alpha, beta=beta, degenerate=degenerate,
+                                beta_limit=beta_limit, c=c,
+                                beta_c=np.where(feasible, beta, boundary),
+                                constrained=live ^ feasible)
+
+
+def rare_row_step(set3, curve):
+    """A restart step of 0.5 on set3 with nu = 2 and rho = 1, and the rare
+    kinds of row it meets: degenerate (alpha <= 0), E[XZ] <= 0, a
+    feasible raw slope and rho beta_c > 1.
+
+    The rows come from states simulated to t = 5, which hold every kind
+    but E[XZ] <= 0 on live rows, and from ``fallback_rows``.  ``MANY``
+    ordinary rows, of none of those kinds, hold three rows of each kind,
+    and three degenerate rows whose variance clamps, near the start of
+    the first block, in a middle block and near the end of the last.
+    Returns the step's params, state and precompute, and the kinds as
+    masks over the rows.
+    """
+    params = dataclasses.replace(set3, nu=2.0, rho=1.0)
+    pool = simulate_clp(params, curve, [0.0, 5.0], 20011, RngStream(3),
+                        snapshot_times=(5.0,)).snapshots[5.0]
+    pre = precompute_step(params, curve, 5.0, 5.5)
+    u = np.vstack((pool.u, fallback_rows(params, pre, 3)))
+    g0_now = float(g0(5.0, params, curve))
+
+    def kinds(state):
+        co = step_coefficients(state, pre, params)
+        live = ~co.degenerate
+        xz_mean = (state.u @ pre.chi.T + pre.psi) @ params.omega
+        return {"degenerate": co.degenerate, "fallback": (xz_mean <= 0.0) & live,
+                "feasible": live & ~co.constrained,
+                "compensated": (params.rho * co.beta_c > 1.0) & live}
+
+    n = MANY
+    source = state_from_rows(u, 5.0, u @ params.omega + g0_now)
+    found = kinds(source)
+
+    def clamps(row):
+        # a degenerate row draws nothing, so whether its variance clamps
+        # is fixed by its factors alone
+        diag = SimDiagnostics()
+        copies = np.tile(row, (8, 1))
+        clp_step(state_from_rows(copies, 5.0, copies @ params.omega + g0_now), pre, params,
+                 RngStream(0), diag)
+        return diag.clamped_variance_values == 8
+
+    found["clamped"] = np.zeros(len(u), dtype=bool)
+    found["clamped"][[i for i in np.flatnonzero(found["degenerate"])[:100] if clamps(u[i])]] = True
+    take = np.resize(np.flatnonzero(~np.any(list(found.values()), axis=0)), n)
+    for k, rows in enumerate(found.values()):
+        for start in (11, n // 2, n - 40):
+            take[start + 7 * k : start + 7 * k + 3] = np.flatnonzero(rows)[:3]
+    state = state_from_rows(u[take], 5.0, u[take] @ params.omega + g0_now)
+    return params, state, pre, kinds(state)
+
+
+def test_clp_step_patches_rare_rows_in_any_block(set3, curve, monkeypatch, one_thread):
+    """Rows of every rare kind, and clamped variances, in the first, a
+    middle and the last block among ordinary rows, the other blocks
+    ordinary throughout: the step is bitwise the whole-batch reference,
+    diagnostics included, on one, two and three workers."""
+    params, state, pre, kinds = rare_row_step(set3, curve)
+    n = state.n_paths
+    middle = next((lo, hi) for lo, hi in _path_blocks(n, 3) if lo <= n // 2 < hi)
+    thirds = (slice(0, _BLOCK), slice(*middle), slice(n - _BLOCK, n))
+    for name, rows in kinds.items():
+        assert all(np.count_nonzero(rows[cut]) >= 3 for cut in thirds), name
+    assert np.count_nonzero(np.any(list(kinds.values()), axis=0)) == 45
+    want, diag_ref = one_thread(reference_clp_step, state, pre, params, RngStream(5))
+    assert all(np.count_nonzero(want.v[cut] == 0.0) >= 3 for cut in thirds)
+    assert diag_ref.clamped_variance_values >= 9
+    assert diag_ref.constrained_draws == n - np.count_nonzero(kinds["degenerate"] | kinds["feasible"])
+    for workers in WORKERS:
+        monkeypatch.setattr(state_module, "_WORKERS", workers)
+        diag = SimDiagnostics()
+        got = clp_step(state, pre, params, RngStream(5), diag)
+        assert_same_step(got, want, diag, diag_ref)
+
+
+def test_coefficients_patch_any_mix_of_rare_rows(set1):
+    """Maps that hand each row its own alpha, E[XZ], split sum and base
+    of c, drawn across signs, scales and NaN, so that the rare kinds
+    meet in every combination, a degenerate row with a raw slope in the
+    feasible set and unbounded slopes included: ``_coefficients`` gives
+    every field of the masked computation bit for bit."""
+    rng = np.random.default_rng(11)
+    n = 20_000
+    u = np.zeros((n, set1.n_states))
+    u[:, :4] = rng.normal(size=(n, 4)) * 10.0 ** rng.uniform(-3, 1, size=(n, 4))
+    u[rng.integers(n, size=50), rng.integers(3, size=50)] = np.nan
+    u[::97, 1] = 0.0
+    # c > 0 on live rows, where c <= 0 would raise; degenerate rows keep any c
+    alpha, xz_mean = u[:, 0], u[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        split = np.where(xz_mean > 0.0, u[:, 2] / xz_mean, set1.omega @ set1.x / set1.omega_bar)
+        base = np.abs(alpha * split) + 1.0
+    u[:, 3] = np.where(alpha > 0.0, base, u[:, 3])
+    # the product with [I; 0] copies the first four factors exactly
+    maps = clp._StepMaps(thin=np.asfortranarray(np.eye(set1.n_states, 4)),
+                         thin_shift=np.zeros(4), update=None)
+    want = masked_coefficients(u, maps, set1)
+    live = ~want.degenerate
+    assert np.count_nonzero(want.degenerate & (want.beta >= set1.nu * set1.omega_bar)) > 0
+    assert np.count_nonzero(live & ~want.constrained) > 0
+    assert np.count_nonzero(np.isinf(want.beta_limit)) > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = clp._projection_coeffs(clp._coefficients(u, maps, set1))
+    for field in dataclasses.fields(clp.ProjectionCoeffs):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name),
+                              equal_nan=field.name not in ("degenerate", "constrained")), field.name
+
+
+@pytest.mark.parametrize("n", [1, MANY])
+def test_clp_step_raises_where_the_inverse_gaussian_shape_underflows(curve, monkeypatch,
+                                                                      one_thread, n):
+    """At v0 = theta = 1e-170 every path is live, with a shape
+    (alpha / beta_c)^2 that underflows to 0: the step raises the
+    reference's error on any number of workers."""
+    params = ModelParams.from_hurst(5, 0.3, lam=0.25, nu=0.1, v0=1e-170, theta=1e-170, rho=0.7)
+    state = PathState.initial(params, n)
+    pre = precompute_step(params, curve, 0.0, 0.1)
+    co = step_coefficients(state, pre, params)
+    assert not np.any(co.degenerate) and np.all(np.square(co.alpha / co.beta_c) == 0.0)
+    with pytest.raises(ValueError, match="mu and gamma must be > 0"):
+        one_thread(reference_clp_step, state, pre, params, RngStream(1))
+    for workers in WORKERS:
+        monkeypatch.setattr(state_module, "_WORKERS", workers)
+        with pytest.raises(ValueError, match="mu and gamma must be > 0"):
+            clp_step(state, pre, params, RngStream(1))
 
 
 def fallback_rows(params, pre, count):
@@ -506,10 +660,10 @@ _REAL_COEFFICIENTS = clp._coefficients
 
 
 def _too_steep(u, maps, params, first_path=0):
-    coeffs, alpha_pos, xz_mean = _REAL_COEFFICIENTS(u, maps, params, first_path)
+    slopes = _REAL_COEFFICIENTS(u, maps, params, first_path)
     rows = first_path + np.arange(u.shape[0])
-    coeffs.beta_c = coeffs.beta_c * np.where(rows < _BLOCK, 5.0, 100.0)
-    return coeffs, alpha_pos, xz_mean
+    slopes.beta_c = slopes.beta_c * np.where(rows < _BLOCK, 5.0, 100.0)
+    return slopes
 
 
 def test_roundoff_error_reports_global_minimum(set1, curve, monkeypatch, one_thread):
