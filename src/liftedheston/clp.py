@@ -38,8 +38,10 @@ A block makes two products with the step's small matrices
 matrix gives each path's alpha, E[XZ], the factor split's weighted sum
 and the constant c; ``_coefficients``, the code behind
 ``step_coefficients``, turns these into the slopes and the constraint
-with arithmetic on vectors over paths.  After the draws, the block
-stacks [u, u s, 1, s, shock] for its paths, with the per-path scale
+with arithmetic on vectors over paths, in one ``ProjectionCoeffs``
+record that holds its rare rows by index and builds masks of them only
+in its properties.  After the draws, the block stacks
+[u, u s, 1, s, shock] for its paths, with the per-path scale
 s = (X_hat - alpha) / E[XZ] and the shock nu Z - lam X_hat, and one
 product of the stack with the (2N + 3) x N update matrix writes the new
 factors; paths with E[XZ] <= 0, whose split falls back to 1/omega_bar,
@@ -109,37 +111,21 @@ _V_ROUNDOFF = 1e-12
 
 @dataclass
 class ProjectionCoeffs:
-    """Per-path projection coefficients for one step.
+    """Per-path projection coefficients for one step, rare rows by index.
 
-    ``alpha`` is E_i[X], ``beta`` the raw projection slope
-    E_i[X Z] / alpha.  ``beta_limit`` is the largest admissible slope
+    ``alpha`` is E_i[X] and ``mean`` the sampling mean: ``alpha`` itself,
+    or a copy with 1 on the ``degenerate_rows`` (alpha <= 0).
+    ``xz_mean`` is E_i[X Z] and ``beta`` the raw projection slope
+    E_i[X Z] / mean.  ``beta_limit`` is the largest admissible slope
     (+inf when the slope constraint never binds), ``c`` the constant
     such that the variance constraint at X_hat = 0 reads
     c - nu * alpha * omega_bar / beta >= 0, and ``beta_c`` the
-    constrained slope actually used for sampling.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    degenerate: np.ndarray
-    beta_limit: np.ndarray
-    c: np.ndarray
-    beta_c: np.ndarray
-    constrained: np.ndarray
-
-
-_NO_ROWS = np.empty(0, dtype=np.intp)
-
-
-@dataclass
-class _Slopes:
-    """:class:`ProjectionCoeffs` of a run of rows, its rare rows by index.
-
-    ``mean`` is the sampling mean: ``alpha`` itself, or a copy with 1 on
-    the ``degenerate`` rows (alpha <= 0).  ``fallback`` holds the rows
-    with E[XZ] <= 0 (or NaN), whose factor split falls back to
-    1/omega_bar, and ``feasible`` the live rows that keep their raw
-    slope; every other live row samples at the boundary slope.
+    constrained slope actually used for sampling.  ``fallback_rows``
+    holds the rows with E[XZ] <= 0 (or NaN), whose factor split falls
+    back to 1/omega_bar, and ``feasible_rows`` the live rows that keep
+    their raw slope; every other live row samples at the boundary slope.
+    The properties ``degenerate`` and ``constrained`` give these rows as
+    masks over all rows.
     """
 
     alpha: np.ndarray
@@ -149,9 +135,26 @@ class _Slopes:
     beta_limit: np.ndarray
     c: np.ndarray
     beta_c: np.ndarray
-    degenerate: np.ndarray
-    fallback: np.ndarray
-    feasible: np.ndarray
+    degenerate_rows: np.ndarray
+    fallback_rows: np.ndarray
+    feasible_rows: np.ndarray
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        """Mask of the rows with alpha <= 0."""
+        degenerate = np.zeros(self.alpha.size, dtype=bool)
+        degenerate[self.degenerate_rows] = True
+        return degenerate
+
+    @property
+    def constrained(self) -> np.ndarray:
+        """Mask of the live rows that sample at the boundary slope."""
+        constrained = ~self.degenerate
+        constrained[self.feasible_rows] = False
+        return constrained
+
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -212,27 +215,17 @@ def step_coefficients(
     X_hat = 0 is nonnegative, c - nu alpha omega_bar / beta >= 0.  A raw
     beta that is nonpositive or infeasible is replaced by the boundary
     slope beta^C = nu alpha omega_bar / c, which satisfies both
-    conditions with the X_hat = 0 value exactly zero.  Raises
+    conditions with the X_hat = 0 value exactly zero.  The degenerate,
+    fallback and feasible rows come by index, and the ``degenerate`` and
+    ``constrained`` masks from the record's properties.  Raises
     ``FloatingPointError`` naming the first live path whose c is
     nonpositive, for which no admissible slope exists.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = _coefficients(np.ascontiguousarray(state.u), _step_maps(pre, params), params)
-    return _projection_coeffs(slopes)
+        return _coefficients(np.ascontiguousarray(state.u), _step_maps(pre, params), params)
 
 
-def _projection_coeffs(slopes: _Slopes) -> ProjectionCoeffs:
-    """The coefficients with the rare rows as masks over all rows."""
-    degenerate = np.zeros(slopes.alpha.size, dtype=bool)
-    degenerate[slopes.degenerate] = True
-    constrained = ~degenerate
-    constrained[slopes.feasible] = False
-    return ProjectionCoeffs(alpha=slopes.alpha, beta=slopes.beta, degenerate=degenerate,
-                            beta_limit=slopes.beta_limit, c=slopes.c, beta_c=slopes.beta_c,
-                            constrained=constrained)
-
-
-def _coefficients(u, maps, params, first_path=0) -> _Slopes:
+def _coefficients(u, maps, params, first_path=0) -> ProjectionCoeffs:
     """:func:`step_coefficients` for the row-major factor rows ``u`` (rows, N).
 
     One product with ``maps.thin`` gives every per-path input; the rest
@@ -294,9 +287,10 @@ def _coefficients(u, maps, params, first_path=0) -> _Slopes:
         candidates[degenerate] = False
         feasible = np.flatnonzero(candidates)
         beta_c[feasible] = beta[feasible]
-    return _Slopes(alpha=alpha, mean=mean, xz_mean=xz_mean, beta=beta, beta_limit=beta_limit,
-                   c=c, beta_c=beta_c, degenerate=degenerate, fallback=fallback,
-                   feasible=feasible)
+    return ProjectionCoeffs(alpha=alpha, mean=mean, xz_mean=xz_mean, beta=beta,
+                            beta_limit=beta_limit, c=c, beta_c=beta_c,
+                            degenerate_rows=degenerate, fallback_rows=fallback,
+                            feasible_rows=feasible)
 
 
 def clp_step(
@@ -347,13 +341,11 @@ def clp_step(
     def block(lo, hi):
         u = u_in[lo:hi]
         sl = _coefficients(u, maps, params, lo)
-        alpha, mean, beta_c, c, degenerate = sl.alpha, sl.mean, sl.beta_c, sl.c, sl.degenerate
+        alpha, mean, beta_c, c = sl.alpha, sl.mean, sl.beta_c, sl.c
+        degenerate = sl.degenerate_rows
         # the reductions leave out degenerate rows, and unbounded slopes
         # for the slope's excess over its limit
-        live = True
-        if degenerate.size:
-            live = np.ones(hi - lo, dtype=bool)
-            live[degenerate] = False
+        live = ~sl.degenerate if degenerate.size else True
         ratio = beta_c / sl.beta_limit  # 0 where the slope is unbounded
         top = ratio.max(initial=-np.inf, where=live)
         if top > 0.0:
@@ -362,13 +354,13 @@ def clp_step(
         else:
             over = np.max(ratio - 1.0, initial=-np.inf, where=np.isfinite(sl.beta_limit) & live)
         slopes = (
-            hi - lo - degenerate.size - sl.feasible.size,
+            hi - lo - degenerate.size - sl.feasible_rows.size,
             degenerate.size,
             float(beta_c.min(initial=np.inf, where=live)),
             float(over),
             float((c - mean * nu_omega_bar / beta_c).min(initial=np.inf, where=live)),
         )
-        fallback, xz_mean = sl.fallback, sl.xz_mean
+        fallback, xz_mean = sl.fallback_rows, sl.xz_mean
         del sl, ratio, live  # frees beta and beta_limit, which the block reads no further
         x_hat = _inverse_gaussian(mean, np.square(mean / beta_c), normal[lo:hi], pick[lo:hi])
         z_hat = x_hat - mean

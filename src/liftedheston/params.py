@@ -274,8 +274,6 @@ def _mean_moments(params: ModelParams, curve: InitialCurve, t: float) -> tuple[f
 
     with y the curve state of ``_curve_ode``, started from [0, 0, y(t0), 1].
     """
-    if t == params.t0:
-        return float(g0(t, params, curve)), 0.0
     n = params.n_states
     y, c, d = _curve_ode(params, curve, params.t0)
     z = np.concatenate((np.zeros(n + 1), y, [1.0]))

@@ -43,7 +43,7 @@ def vix_from_state(
     t: float,
     params: ModelParams,
     curve: InitialCurve,
-    horizon: float = 1.0 / 12.0,
+    horizon: float,
 ) -> tuple[np.ndarray, int]:
     """VIX values from factor states at time t.
 

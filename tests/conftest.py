@@ -64,10 +64,11 @@ def extreme_set():
     return ModelParams.from_hurst(5, 0.3, lam=0.25, nu=0.3, v0=0.02, theta=0.02, rho=0.7)
 
 
-def moments_of_x(params, curve, t_end):
-    """E[X], E[X^2], E[U] and E[U U^T] at t_end, from U = 0 at t0.
+def moments_of_x(params, curve, t_end, t_start=None, u_start=None):
+    """E[X], E[X^2], E[U] and E[U U^T] at t_end, from the factor row
+    ``u_start`` at ``t_start`` (by default U = 0 at t0).
 
-    X is the integrated variance over [t0, t_end].  The model is a
+    X is the integrated variance over [t_start, t_end].  The model is a
     polynomial process, so the first and second moments of (U, X) solve
     a closed linear system; with V = g0 + omega . U,
 
@@ -77,7 +78,8 @@ def moments_of_x(params, curve, t_end):
         d E[U_i X]/dt   = E[U_i V] - x_i E[U_i X] - lam E[X V]
         d E[X^2]/dt     = 2 E[X V]
 
-    from zero.  No path, random number or time step enters.
+    from E[U] = U, E[U U^T] = U U^T and zero X terms.  No path, random
+    number or time step enters.
     """
     from scipy.integrate import solve_ivp  # a test extra, needed only here
 
@@ -97,8 +99,12 @@ def moments_of_x(params, curve, t_end):
             (-x * m - lam * ev, [ev], d_uu.ravel(), euv - x * ux - lam * exv, [2.0 * exv])
         )
 
+    t_start = params.t0 if t_start is None else t_start
+    u_start = np.zeros(n) if u_start is None else np.asarray(u_start, dtype=float)
     y0 = np.zeros(n * n + 2 * n + 2)
-    sol = solve_ivp(rhs, (params.t0, t_end), y0, method="DOP853", rtol=1e-12, atol=1e-18)
+    y0[:n] = u_start
+    y0[n + 1 : n + 1 + n * n] = np.outer(u_start, u_start).ravel()
+    sol = solve_ivp(rhs, (t_start, t_end), y0, method="DOP853", rtol=1e-12, atol=1e-18)
     assert sol.success
     y = sol.y[:, -1]
     return y[n], y[-1], y[:n], y[n + 1 : n + 1 + n * n].reshape(n, n)

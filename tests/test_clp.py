@@ -421,6 +421,30 @@ _TRADE_OFF = {
 }
 
 
+def one_draw_variances(params, curve, t, u_row, v, t_end):
+    """B and the scheme's Var(X_hat) and Var(V') over the exact values, for
+    one step from t to t_end of a path with factor row ``u_row`` and
+    variance v."""
+    omega = params.omega
+    mean_x, second_x, mean_u, second_u = moments_of_x(params, curve, t_end, t, u_row)
+    var_x = second_x - mean_x**2
+    var_v = omega @ (second_u - np.outer(mean_u, mean_u)) @ omega
+    mean_v = float(g0(t_end, params, curve)) + omega @ mean_u
+    bound = (mean_x / mean_v) ** 2 * var_v / var_x
+
+    pre = precompute_step(params, curve, t, t_end)
+    two = PathState(t=t, log_s=np.zeros(2), u=np.tile(u_row, (2, 1)), v=np.full(2, v),
+                    x_cum=np.zeros(2), z_cum=np.zeros(2))
+    co = step_coefficients(two, pre, params)
+    var_x_hat = co.alpha[0] * co.beta_c[0] ** 2  # IG(alpha, (alpha / beta_c)^2)
+    # a zero normal draws X_hat = alpha on the first path; V' is affine in X_hat
+    draws = _FixedDraws(np.array([0.0, 1.0]), np.full(2, 0.5), np.zeros(2))
+    out = clp_step(two, pre, params, draws)
+    assert out.x_cum[0] == co.alpha[0]
+    slope = (out.v[1] - out.v[0]) / (out.x_cum[1] - out.x_cum[0])
+    return bound, var_x_hat / var_x, slope**2 * var_x_hat / var_v
+
+
 @pytest.mark.parametrize("which", ["set1", "set3"])
 def test_one_draw_trades_the_variance_of_x_against_that_of_v(request, curve, which):
     """One step from U = 0.  An update V' = E[V'] + k (X_hat - alpha) with
@@ -430,26 +454,18 @@ def test_one_draw_trades_the_variance_of_x_against_that_of_v(request, curve, whi
     exact.  Against the exact second moments, B and the scheme's two
     variance ratios keep their values, and since the boundary slope puts
     V' = 0 at X_hat = 0, the scheme meets the bound with equality: its
-    Var(V') ratio times B is its Var(X_hat) ratio."""
+    Var(V') ratio times B is its Var(X_hat) ratio.  From interior states,
+    rows of a simulation at t = 1, the equality holds too, which makes the
+    scheme's E[V' | U] the exact conditional mean, and B exceeds 1."""
     params = request.getfixturevalue(which)
-    omega = params.omega
+    u_zero = np.zeros(params.n_states)
     for h, *want in zip(_TRADE_OFF_STEPS, *_TRADE_OFF[which]):
-        t_end = params.t0 + h
-        mean_x, second_x, mean_u, second_u = moments_of_x(params, curve, t_end)
-        var_x = second_x - mean_x**2
-        var_v = omega @ (second_u - np.outer(mean_u, mean_u)) @ omega
-        mean_v = float(g0(t_end, params, curve)) + omega @ mean_u
-        bound = (mean_x / mean_v) ** 2 * var_v / var_x
-
-        pre = precompute_step(params, curve, params.t0, t_end)
-        state = PathState.initial(params, 2)
-        co = step_coefficients(state, pre, params)
-        var_x_hat = co.alpha[0] * co.beta_c[0] ** 2  # IG(alpha, (alpha / beta_c)^2)
-        # a zero normal draws X_hat = alpha on the first path; V' is affine in X_hat
-        draws = _FixedDraws(np.array([0.0, 1.0]), np.full(2, 0.5), np.zeros(2))
-        out = clp_step(state, pre, params, draws)
-        assert out.x_cum[0] == co.alpha[0]
-        slope = (out.v[1] - out.v[0]) / (out.x_cum[1] - out.x_cum[0])
-        got = (bound, var_x_hat / var_x, slope**2 * var_x_hat / var_v)
+        got = one_draw_variances(params, curve, params.t0, u_zero, params.v0, params.t0 + h)
         assert got == pytest.approx(want, rel=1e-3), h
         assert got[2] * got[0] == pytest.approx(got[1], rel=1e-12, abs=0), h
+    snap = interior_states(params, curve, 1.0, 5, seed=21)
+    for u_row, v in zip(snap.u, snap.v):
+        for h in (1 / 78, 1 / 13, 0.5):
+            got = one_draw_variances(params, curve, 1.0, u_row, v, 1.0 + h)
+            assert got[2] * got[0] == pytest.approx(got[1], rel=1e-12, abs=0), (u_row, h)
+            assert got[0] > 1.0, (u_row, h)

@@ -112,9 +112,9 @@ def reference_clp_step(state, pre, params, stream, diagnostics=None, update=None
     u = np.ascontiguousarray(state.u)
     maps = clp._step_maps(pre, params)
     with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = clp._coefficients(u, maps, params)
-    coeffs, alpha_pos, xz_mean = clp._projection_coeffs(slopes), slopes.mean, slopes.xz_mean
-    alpha, beta_c, degen = coeffs.alpha, coeffs.beta_c, coeffs.degenerate
+        coeffs = clp._coefficients(u, maps, params)
+    alpha, alpha_pos, xz_mean = coeffs.alpha, coeffs.mean, coeffs.xz_mean
+    beta_c, degen = coeffs.beta_c, coeffs.degenerate
     live = ~degen
     nu_omega_bar = params.nu * params.omega_bar
     x_hat = sample_inverse_gaussian(stream, alpha_pos, np.square(alpha_pos / beta_c), size=n)
@@ -284,7 +284,7 @@ def test_clp_step_degenerate_paths_in_last_block(set3, curve, monkeypatch, one_t
 def masked_coefficients(u, maps, params):
     """The projection coefficients as whole-batch masks and ``np.where``
     selections, as ``clp._coefficients`` computed them before it patched
-    its rare rows by index."""
+    its rare rows by index; the record's rows are the masks' indices."""
     nu_omega_bar = params.nu * params.omega_bar
     thin = u @ maps.thin
     alpha = thin[:, 0] + maps.thin_shift[0]
@@ -301,10 +301,12 @@ def masked_coefficients(u, maps, params):
     c = (thin[:, 3] + maps.thin_shift[3]) + alpha * split_wx
     boundary = alpha_pos * nu_omega_bar / np.where(live, c, 1.0)
     feasible = (beta >= boundary) & (beta <= beta_limit) & live
-    return clp.ProjectionCoeffs(alpha=alpha, beta=beta, degenerate=degenerate,
+    return clp.ProjectionCoeffs(alpha=alpha, mean=alpha_pos, xz_mean=xz_mean, beta=beta,
                                 beta_limit=beta_limit, c=c,
                                 beta_c=np.where(feasible, beta, boundary),
-                                constrained=live ^ feasible)
+                                degenerate_rows=np.flatnonzero(degenerate),
+                                fallback_rows=np.flatnonzero(~(xz_mean > 0.0)),
+                                feasible_rows=np.flatnonzero(feasible))
 
 
 def rare_row_step(set3, curve):
@@ -386,7 +388,8 @@ def test_coefficients_patch_any_mix_of_rare_rows(set1):
     of c, drawn across signs, scales and NaN, so that the rare kinds
     meet in every combination, a degenerate row with a raw slope in the
     feasible set and unbounded slopes included: ``_coefficients`` gives
-    every field of the masked computation bit for bit."""
+    every field of the masked computation bit for bit, the rows by
+    index and both masks included."""
     rng = np.random.default_rng(11)
     n = 20_000
     u = np.zeros((n, set1.n_states))
@@ -408,10 +411,12 @@ def test_coefficients_patch_any_mix_of_rare_rows(set1):
     assert np.count_nonzero(live & ~want.constrained) > 0
     assert np.count_nonzero(np.isinf(want.beta_limit)) > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        got = clp._projection_coeffs(clp._coefficients(u, maps, set1))
+        got = clp._coefficients(u, maps, set1)
     for field in dataclasses.fields(clp.ProjectionCoeffs):
         assert np.array_equal(getattr(got, field.name), getattr(want, field.name),
-                              equal_nan=field.name not in ("degenerate", "constrained")), field.name
+                              equal_nan=not field.name.endswith("_rows")), field.name
+    for mask in ("degenerate", "constrained"):
+        assert np.array_equal(getattr(got, mask), getattr(want, mask)), mask
 
 
 @pytest.mark.parametrize("n", [1, MANY])
@@ -660,10 +665,10 @@ _REAL_COEFFICIENTS = clp._coefficients
 
 
 def _too_steep(u, maps, params, first_path=0):
-    slopes = _REAL_COEFFICIENTS(u, maps, params, first_path)
+    coeffs = _REAL_COEFFICIENTS(u, maps, params, first_path)
     rows = first_path + np.arange(u.shape[0])
-    slopes.beta_c = slopes.beta_c * np.where(rows < _BLOCK, 5.0, 100.0)
-    return slopes
+    coeffs.beta_c = coeffs.beta_c * np.where(rows < _BLOCK, 5.0, 100.0)
+    return coeffs
 
 
 def test_roundoff_error_reports_global_minimum(set1, curve, monkeypatch, one_thread):

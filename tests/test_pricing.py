@@ -72,7 +72,7 @@ def test_vix_clamps_out_of_support_states(set1, curve):
     assert clamped == 3
     assert np.all(vix == 0.0)
     with pytest.raises(ValueError):
-        vix_from_state(np.zeros((2, 4)), 1.0, set1, curve)
+        vix_from_state(np.zeros((2, 4)), 1.0, set1, curve, 1.0 / 12.0)
     with pytest.raises(ValueError):
         vix_from_state(np.zeros((2, 5)), 1.0, set1, curve, horizon=0.0)
 
