@@ -240,8 +240,6 @@ def g0_integral(s: float, t: float, params: ModelParams, curve: InitialCurve) ->
         raise ValueError("need s <= t")
     if s < params.t0 - 1e-12:
         raise ValueError("integral starts before t0")
-    if t == s:
-        return 0.0
     ts, tt = s - params.t0, t - params.t0
     w, d = _curve(params, curve)
     pos = d > 0.0

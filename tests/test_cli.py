@@ -289,6 +289,59 @@ def test_non_finite_and_fractional_input_exit_2_with_one_line(tmp_path, child_en
     assert not (tmp_path / "out").exists()
 
 
+# input checks that no other test reaches, each from its config file or flag
+@pytest.mark.parametrize("config, flags, message", [
+    ("steps = ,\n", [], "steps: empty list"),
+    ("times = 0.5\n", [], "times: need at least two grid points"),
+    ("bumps = lam\n", [], "bumps: expected name:delta, got 'lam'"),
+    ("bumps = ,\n", [], "bumps: empty list"),
+    ("t_end = 0\n", [], "t_end must exceed t0"),
+    ("", ["--steps", "10,20"], "steps: simulate takes a single whole-number step count"),
+])
+def test_malformed_input_exits_2_with_one_line(tmp_path, child_env, config, flags, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("paths = 20\n" + config)
+    proc = subprocess.run(
+        [sys.executable, "-m", "liftedheston.cli", "simulate", "--config", str(cfg), *flags,
+         "--out", str(tmp_path / "out")],
+        env=child_env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_unwritable_output_exits_1_with_one_line(tmp_path, child_env):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "liftedheston.cli", "simulate", "--paths", "10", "--steps", "2",
+         "--out", str(blocker / "sub")],
+        env=child_env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_simulate_heston_curve_matches_its_mean(tmp_path):
+    """``curve = heston`` reaches the run: the mean integrated variance is
+    that of the linear Heston curve within 4 standard errors."""
+    cfg = tmp_path / "heston.cfg"
+    cfg.write_text("preset = set1\ncurve = heston\nt_end = 2\n")
+    code, out = run_cli(["simulate", "--config", str(cfg), "--paths", "20000", "--steps", "8"],
+                        tmp_path, "h")
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO((out / "summary.csv").read_text())))
+    params = build_config({"preset": "set1"}).build_params()
+    want = liftedheston.expected_integrated_variance(2.0, params,
+                                                     liftedheston.InitialCurve.HESTON_LINEAR)
+    lifted = liftedheston.expected_integrated_variance(2.0, params,
+                                                       liftedheston.InitialCurve.LIFTED_DEFAULT)
+    se = float(row["se_mean_x"])
+    assert abs(float(row["mean_x"]) - want) < 4 * se
+    assert abs(lifted - want) > 8 * se
+
+
 # finite but extreme: the first two used to exit 0 after expm overflow
 # warnings with all-NaN CSVs, the third with a 7 TiB allocation
 # traceback, the Euler run after overflow warnings with inf and NaN in

@@ -17,9 +17,11 @@ from liftedheston import (
     clp_step,
     g0,
     precompute_step,
+    sample_inverse_gaussian,
     simulate_clp,
     step_coefficients,
 )
+from liftedheston import clp
 
 from conftest import moments_of_x
 
@@ -52,6 +54,17 @@ def split_beta_limit(ratio, params):
     denom = ratio @ (params.omega * params.x) + params.lam * params.omega_bar
     return np.where(denom > 0.0, params.nu * params.omega_bar / np.where(denom > 0.0, denom, 1.0),
                     np.inf)
+
+
+def row_masks(co):
+    """The live rows (alpha > 0) of a ``ProjectionCoeffs`` and its rows that
+    keep their raw slope, as masks over all rows; every other live row
+    samples at the boundary slope."""
+    live = np.ones(co.alpha.size, dtype=bool)
+    live[co.degenerate_rows] = False
+    feasible = np.zeros(co.alpha.size, dtype=bool)
+    feasible[co.feasible_rows] = True
+    return live, feasible
 
 
 def test_alpha_recomputation(set1, curve):
@@ -96,7 +109,7 @@ def test_slope_constraint_invariants(set1, set2, curve):
         for h in (0.1, 0.5, 2.0):
             pre = precompute_step(params, curve, 1.0, 1.0 + h)
             co = step_coefficients(st, pre, params)
-            live = ~co.degenerate
+            live, _ = row_masks(co)
             assert np.all(co.beta_c[live] > 0.0)
             assert np.all(co.beta_c[live] <= co.beta_limit[live] * (1.0 + 1e-12))
             value_at_zero = co.c - params.nu * co.alpha * params.omega_bar / co.beta_c
@@ -111,8 +124,8 @@ def test_raw_slope_never_feasible_on_model_states(set1, curve):
     for h, lo, hi in ((0.01, 0.45, 0.55), (0.5, 0.3, 1.0), (2.15, 0.3, 1.0)):
         pre = precompute_step(set1, curve, 1.0, 1.0 + h)
         co = step_coefficients(st, pre, set1)
-        live = ~co.degenerate
-        assert np.all(co.constrained[live]), f"h={h}: some raw slopes feasible"
+        live, feasible = row_masks(co)
+        assert not np.any(feasible), f"h={h}: some raw slopes feasible"
         ratio = co.beta[live] / co.beta_c[live]
         assert np.all(ratio < 1.0)
         assert lo < float(np.median(ratio)) < hi, f"h={h} median={np.median(ratio)}"
@@ -195,7 +208,7 @@ def test_zero_variance_model_runs_without_warnings(curve):
         co = step_coefficients(PathState.initial(params, 50),
                                precompute_step(params, curve, 0.0, 0.2), params)
         out = simulate_clp(params, curve, grid, 50, RngStream(3))
-    assert np.all(co.degenerate) and np.all(co.c == 0.0)
+    assert np.array_equal(co.degenerate_rows, np.arange(50)) and np.all(co.c == 0.0)
     assert np.all(np.isfinite(co.beta_c)) and np.all(co.beta_c > 0.0)
     assert np.all(out.v == 0.0) and np.all(out.x == 0.0) and np.all(out.z == 0.0)
     assert out.diagnostics.degenerate_mean_draws == 50 * 5
@@ -324,7 +337,7 @@ def price_factor_log(state, pre, params, seed):
     compensator = out.log_s - uncompensated
     co = step_coefficients(state, pre, params)
     alpha, beta = co.alpha, co.beta_c
-    live = ~co.degenerate
+    live, _ = row_masks(co)
     mgf = np.where(live, alpha / beta**2 * (1.0 - np.abs(1.0 - rho * beta)) - rho * alpha / beta,
                    0.0)
     return compensator + mgf, compensator, np.where(live, rho * beta, -np.inf)
@@ -421,27 +434,44 @@ _TRADE_OFF = {
 }
 
 
+def exact_variances(params, curve, t, u_row, t_end):
+    """E[X], Var(X), E[V'] and Var(V') of the model over one step from t to
+    t_end of a path with factor row ``u_row``."""
+    omega = params.omega
+    mean_x, second_x, mean_u, second_u = moments_of_x(params, curve, t_end, t, u_row)
+    var_v = omega @ (second_u - np.outer(mean_u, mean_u)) @ omega
+    return mean_x, second_x - mean_x**2, float(g0(t_end, params, curve)) + omega @ mean_u, var_v
+
+
+def one_draw(params, pre, u_row, v, slope=None):
+    """``step_coefficients`` and ``clp_step`` from two paths with factor row
+    ``u_row`` and variance v, whose inverse Gaussian normals are 0 and 1;
+    ``slope``, if given, replaces beta_c through ``clp._coefficients``.
+    Returns the coefficients and the two paths' X_hat and V'."""
+    two = PathState(t=pre.t_start, log_s=np.zeros(2), u=np.tile(u_row, (2, 1)), v=np.full(2, v),
+                    x_cum=np.zeros(2), z_cum=np.zeros(2))
+    co = step_coefficients(two, pre, params)
+    draws = _FixedDraws(np.array([0.0, 1.0]), np.full(2, 0.5), np.zeros(2))
+    with pytest.MonkeyPatch.context() as patch:
+        if slope is not None:
+            real = clp._coefficients
+            patch.setattr(clp, "_coefficients", lambda *args: dataclasses.replace(
+                real(*args), beta_c=np.full(2, slope)))
+        out = clp_step(two, pre, params, draws)
+    return co, out.x_cum, out.v
+
+
 def one_draw_variances(params, curve, t, u_row, v, t_end):
     """B and the scheme's Var(X_hat) and Var(V') over the exact values, for
     one step from t to t_end of a path with factor row ``u_row`` and
     variance v."""
-    omega = params.omega
-    mean_x, second_x, mean_u, second_u = moments_of_x(params, curve, t_end, t, u_row)
-    var_x = second_x - mean_x**2
-    var_v = omega @ (second_u - np.outer(mean_u, mean_u)) @ omega
-    mean_v = float(g0(t_end, params, curve)) + omega @ mean_u
+    mean_x, var_x, mean_v, var_v = exact_variances(params, curve, t, u_row, t_end)
     bound = (mean_x / mean_v) ** 2 * var_v / var_x
-
-    pre = precompute_step(params, curve, t, t_end)
-    two = PathState(t=t, log_s=np.zeros(2), u=np.tile(u_row, (2, 1)), v=np.full(2, v),
-                    x_cum=np.zeros(2), z_cum=np.zeros(2))
-    co = step_coefficients(two, pre, params)
+    co, x_hat, v_new = one_draw(params, precompute_step(params, curve, t, t_end), u_row, v)
     var_x_hat = co.alpha[0] * co.beta_c[0] ** 2  # IG(alpha, (alpha / beta_c)^2)
     # a zero normal draws X_hat = alpha on the first path; V' is affine in X_hat
-    draws = _FixedDraws(np.array([0.0, 1.0]), np.full(2, 0.5), np.zeros(2))
-    out = clp_step(two, pre, params, draws)
-    assert out.x_cum[0] == co.alpha[0]
-    slope = (out.v[1] - out.v[0]) / (out.x_cum[1] - out.x_cum[0])
+    assert x_hat[0] == co.alpha[0]
+    slope = (v_new[1] - v_new[0]) / (x_hat[1] - x_hat[0])
     return bound, var_x_hat / var_x, slope**2 * var_x_hat / var_v
 
 
@@ -469,3 +499,60 @@ def test_one_draw_trades_the_variance_of_x_against_that_of_v(request, curve, whi
             got = one_draw_variances(params, curve, 1.0, u_row, v, 1.0 + h)
             assert got[2] * got[0] == pytest.approx(got[1], rel=1e-12, abs=0), (u_row, h)
             assert got[0] > 1.0, (u_row, h)
+
+
+# per step of _TRADE_OFF_STEPS: beta_impl / beta_limit, then at the
+# implicit slope Var(X_hat) and Var(V') over the exact values, None where
+# beta_impl > beta_limit and the slope is not admissible
+_IMPLICIT = {
+    "set1": ((0.005, 0.065, 0.348, 1.385, 2.563),
+             (3.015, 3.193, 4.092, None, None),
+             (0.9948, 0.9319, 0.5823, None, None)),
+    "set3": ((0.032, 0.340, 1.132, 2.751, 4.987),
+             (3.074, 3.878, None, None, None),
+             (0.9668, 0.6003, None, None, None)),
+}
+
+
+@pytest.mark.parametrize("which", ["set1", "set3"])
+def test_slope_sets_both_conditional_variances_in_closed_form(request, curve, which):
+    """One step from U = 0 with the slope beta forced across [beta_c, beta_limit]
+    and to the implicit slope beta_impl = nu omega_bar h / (1 + lam omega_bar h)
+    where admissible.  The step draws X_hat from IG(alpha, (alpha / beta)^2),
+    so Var(X_hat|U) = alpha beta^2, and moves V' along X_hat with slope
+    nu omega_bar (1/beta - 1/beta_limit), so
+    Var(V'|U) = (nu omega_bar)^2 alpha (1 - beta / beta_limit)^2.  Across the
+    interval Var(X_hat) rises and Var(V') falls; at beta_c the first is
+    above exact and the second below, so given the split beta_c is the best
+    admissible slope for both.  At beta_impl the two ratios to exact keep
+    their values."""
+    params = request.getfixturevalue(which)
+    nu_omega_bar = params.nu * params.omega_bar
+    u_zero = np.zeros(params.n_states)
+    for h, impl_over_limit, *want in zip(_TRADE_OFF_STEPS, *_IMPLICIT[which]):
+        _, var_x, _, var_v = exact_variances(params, curve, params.t0, u_zero, params.t0 + h)
+        pre = precompute_step(params, curve, params.t0, params.t0 + h)
+        co = step_coefficients(PathState.initial(params, 1), pre, params)
+        alpha, beta_c, beta_limit = co.alpha[0], co.beta_c[0], co.beta_limit[0]
+        beta_impl = nu_omega_bar * h / (1.0 + params.lam * params.omega_bar * h)
+        assert beta_impl / beta_limit == pytest.approx(impl_over_limit, abs=5e-4), h
+        assert (beta_impl <= beta_limit) == (want[0] is not None), h
+        slopes = np.linspace(beta_c, beta_limit, 5)
+        if beta_impl <= beta_limit:
+            slopes = np.append(slopes, beta_impl)
+        variances = []
+        for beta in slopes:
+            _, x_hat, v_new = one_draw(params, pre, u_zero, params.v0, slope=beta)
+            ig = sample_inverse_gaussian(_FixedDraws(np.ones(1), np.full(1, 0.5)),
+                                         alpha, (alpha / beta) ** 2, size=1)
+            assert x_hat[0] == alpha and x_hat[1] == ig[0], (h, beta)
+            k = (v_new[1] - v_new[0]) / (x_hat[1] - x_hat[0])
+            assert k == pytest.approx(nu_omega_bar * (1.0 / beta - 1.0 / beta_limit), rel=1e-9,
+                                      abs=1e-9 * nu_omega_bar / beta), (h, beta)
+            variances.append((alpha * beta**2 / var_x,
+                              nu_omega_bar**2 * alpha * (1.0 - beta / beta_limit) ** 2 / var_v))
+        ratio_x, ratio_v = np.array(variances[:5]).T
+        assert np.all(np.diff(ratio_x) > 0.0) and np.all(np.diff(ratio_v) < 0.0), h
+        assert ratio_x[0] > 1.0 > ratio_v[0], h
+        if beta_impl <= beta_limit:
+            assert variances[-1] == pytest.approx(want, rel=1e-3), h

@@ -60,7 +60,7 @@ from liftedheston import (
 )
 from liftedheston import clp, euler as euler_module, state as state_module
 from liftedheston.state import _BLOCK, _path_blocks
-from test_clp import bad_constant_row, degenerate_state, factor_split, state_from_rows
+from test_clp import bad_constant_row, degenerate_state, factor_split, row_masks, state_from_rows
 
 # Two blocks per worker at 1, 2 and 3 workers, and a 3-row tail.
 MANY = 7 * _BLOCK + 39
@@ -114,8 +114,8 @@ def reference_clp_step(state, pre, params, stream, diagnostics=None, update=None
     with np.errstate(divide="ignore", invalid="ignore"):
         coeffs = clp._coefficients(u, maps, params)
     alpha, alpha_pos, xz_mean = coeffs.alpha, coeffs.mean, coeffs.xz_mean
-    beta_c, degen = coeffs.beta_c, coeffs.degenerate
-    live = ~degen
+    beta_c = coeffs.beta_c
+    live, feasible = row_masks(coeffs)
     nu_omega_bar = params.nu * params.omega_bar
     x_hat = sample_inverse_gaussian(stream, alpha_pos, np.square(alpha_pos / beta_c), size=n)
     x_hat = np.where(live, x_hat, 0.0)
@@ -160,8 +160,8 @@ def reference_clp_step(state, pre, params, stream, diagnostics=None, update=None
     log_s_new[compensate] += 2.0 * alpha_pos[compensate] * (rho * b - 1.0) / (b * b)
     if diagnostics is not None:
         diagnostics.total_draws += n
-        diagnostics.constrained_draws += int(np.count_nonzero(coeffs.constrained))
-        diagnostics.degenerate_mean_draws += int(np.count_nonzero(degen))
+        diagnostics.constrained_draws += int(np.count_nonzero(live & ~feasible))
+        diagnostics.degenerate_mean_draws += int(np.count_nonzero(~live))
         diagnostics.min_variance = min(diagnostics.min_variance, float(np.min(v_new)))
         diagnostics.min_beta = min(
             diagnostics.min_beta, float(np.min(beta_c, initial=np.inf, where=live))
@@ -331,10 +331,10 @@ def rare_row_step(set3, curve):
 
     def kinds(state):
         co = step_coefficients(state, pre, params)
-        live = ~co.degenerate
+        live, feasible = row_masks(co)
         xz_mean = (state.u @ pre.chi.T + pre.psi) @ params.omega
-        return {"degenerate": co.degenerate, "fallback": (xz_mean <= 0.0) & live,
-                "feasible": live & ~co.constrained,
+        return {"degenerate": ~live, "fallback": (xz_mean <= 0.0) & live,
+                "feasible": feasible,
                 "compensated": (params.rho * co.beta_c > 1.0) & live}
 
     n = MANY
@@ -389,7 +389,7 @@ def test_coefficients_patch_any_mix_of_rare_rows(set1):
     meet in every combination, a degenerate row with a raw slope in the
     feasible set and unbounded slopes included: ``_coefficients`` gives
     every field of the masked computation bit for bit, the rows by
-    index and both masks included."""
+    index included."""
     rng = np.random.default_rng(11)
     n = 20_000
     u = np.zeros((n, set1.n_states))
@@ -406,17 +406,15 @@ def test_coefficients_patch_any_mix_of_rare_rows(set1):
     maps = clp._StepMaps(thin=np.asfortranarray(np.eye(set1.n_states, 4)),
                          thin_shift=np.zeros(4), update=None)
     want = masked_coefficients(u, maps, set1)
-    live = ~want.degenerate
-    assert np.count_nonzero(want.degenerate & (want.beta >= set1.nu * set1.omega_bar)) > 0
-    assert np.count_nonzero(live & ~want.constrained) > 0
+    live, feasible = row_masks(want)
+    assert np.count_nonzero(~live & (want.beta >= set1.nu * set1.omega_bar)) > 0
+    assert np.count_nonzero(feasible) > 0
     assert np.count_nonzero(np.isinf(want.beta_limit)) > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         got = clp._coefficients(u, maps, set1)
     for field in dataclasses.fields(clp.ProjectionCoeffs):
         assert np.array_equal(getattr(got, field.name), getattr(want, field.name),
                               equal_nan=not field.name.endswith("_rows")), field.name
-    for mask in ("degenerate", "constrained"):
-        assert np.array_equal(getattr(got, mask), getattr(want, mask)), mask
 
 
 @pytest.mark.parametrize("n", [1, MANY])
@@ -429,7 +427,7 @@ def test_clp_step_raises_where_the_inverse_gaussian_shape_underflows(curve, monk
     state = PathState.initial(params, n)
     pre = precompute_step(params, curve, 0.0, 0.1)
     co = step_coefficients(state, pre, params)
-    assert not np.any(co.degenerate) and np.all(np.square(co.alpha / co.beta_c) == 0.0)
+    assert co.degenerate_rows.size == 0 and np.all(np.square(co.alpha / co.beta_c) == 0.0)
     with pytest.raises(ValueError, match="mu and gamma must be > 0"):
         one_thread(reference_clp_step, state, pre, params, RngStream(1))
     for workers in WORKERS:
@@ -453,7 +451,7 @@ def fallback_rows(params, pre, count):
             co = step_coefficients(state, pre, params)
         except FloatingPointError:  # no admissible slope
             continue
-        if not co.degenerate[0] and co.beta_c[0] <= co.beta_limit[0]:
+        if co.degenerate_rows.size == 0 and co.beta_c[0] <= co.beta_limit[0]:
             keep.append(i)
             if len(keep) == count:
                 return u[keep]
@@ -512,7 +510,8 @@ def test_clp_step_agrees_with_explicit_split(request, curve, which, rows):
         if rows == "fallback":
             co = step_coefficients(state, pre, params)
             xz_mean = (state.u @ pre.chi.T + pre.psi) @ params.omega
-            assert np.count_nonzero((xz_mean <= 0.0) & ~co.degenerate) == len(u[::997])
+            live, _ = row_masks(co)
+            assert np.count_nonzero((xz_mean <= 0.0) & live) == len(u[::997])
         terms = update_terms(state, pre, params, got.x_cum - state.x_cum, got.z_cum - state.z_cum)
         u_tol = 8 * eps * terms
         v_tol = u_tol @ params.omega + 8 * eps * (terms @ params.omega + pre.g0_next)
@@ -698,6 +697,28 @@ def test_roundoff_error_reports_global_minimum(set1, curve, monkeypatch, one_thr
         monkeypatch.setattr(state_module, "_WORKERS", workers)
         diag = SimDiagnostics()
         assert_same_step(clp_step(state, pre, set1, RngStream(6), diag), ref, diag, diag_ref)
+
+
+def _unbounded(u, maps, params, first_path=0):
+    coeffs = _REAL_COEFFICIENTS(u, maps, params, first_path)
+    coeffs.beta_limit = np.full(u.shape[0], np.inf)
+    return coeffs
+
+
+def test_unbounded_slopes_report_no_excess_over_the_limit(set1, curve, monkeypatch, one_thread):
+    """With every slope unbounded, no slope has an excess over its limit:
+    the step reports -inf, as the reference does, on any number of workers."""
+    state = interior_state(set1, curve, MANY, seed=5)
+    pre = precompute_step(set1, curve, 1.0, 1.5)
+    patches = [("_coefficients", _unbounded)]
+    monkeypatch.setattr(clp, "_coefficients", _unbounded)
+    want, diag_ref = one_thread(reference_clp_step, state, pre, set1, RngStream(6),
+                                clp_patches=patches)
+    assert diag_ref.max_beta_over_limit == -np.inf
+    for workers in WORKERS:
+        monkeypatch.setattr(state_module, "_WORKERS", workers)
+        diag = SimDiagnostics()
+        assert_same_step(clp_step(state, pre, set1, RngStream(6), diag), want, diag, diag_ref)
 
 
 def test_steps_leave_the_input_state_untouched(set1, set2, curve):

@@ -4,7 +4,7 @@
 
 Runs the small CLI commands and config files recorded in
 ``BENCH_cold_start.json`` under ``csv_sha256.small_cli_runs``, and the
-multi-block and rare-row runs below, from the package in this checkout's ``src/``,
+multi-block and config-file runs below, from the package in this checkout's ``src/``,
 with one BLAS thread, in a temporary directory.  Prints one
 ``<run>/<file> <sha256>`` line per CSV, sorted, each followed by one
 ``<run>/<file>:<column> <sha256>`` line per column in file order, so two
@@ -39,11 +39,19 @@ MULTI_BLOCK_RUNS = {
     "multi_converge_set3": "converge --preset set3 --paths 20011",
 }
 
-# A C-LP run whose blocks meet the rows the step patches by index: at
-# seed 3 its two steps of 5 have thousands of degenerate draws, hundreds
-# of clamped variances, and rows with rho beta_c > 1 at the first step.
-RARE_ROW_CONFIG = {"rare.cfg": "preset = set3\nnu = 2\nrho = 1\nt_end = 10\n"}
-RARE_ROW_RUNS = {"rare_clp_set3": "simulate --config rare.cfg --steps 2 --paths 20011 --seed 3"}
+# C-LP runs from config files.  The rare-row run's blocks meet the rows
+# the step patches by index: at seed 3 its two steps of 5 have thousands
+# of degenerate draws, hundreds of clamped variances, and rows with
+# rho beta_c > 1 at the first step.  The Heston run takes the linear
+# initial curve, which only a config file selects.
+CONFIG_FILES = {
+    "rare.cfg": "preset = set3\nnu = 2\nrho = 1\nt_end = 10\n",
+    "heston.cfg": "preset = set1\ncurve = heston\n",
+}
+CONFIG_RUNS = {
+    "rare_clp_set3": "simulate --config rare.cfg --steps 2 --paths 20011 --seed 3",
+    "heston_clp_set1": "simulate --config heston.cfg --steps 5 --paths 2001",
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -68,9 +76,9 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **_ONE_THREAD)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name, text in {**runs["config_files"], **RARE_ROW_CONFIG}.items():
+        for name, text in {**runs["config_files"], **CONFIG_FILES}.items():
             (work / name).write_text(text)
-        for name, command in {**runs["commands"], **MULTI_BLOCK_RUNS, **RARE_ROW_RUNS}.items():
+        for name, command in {**runs["commands"], **MULTI_BLOCK_RUNS, **CONFIG_RUNS}.items():
             argv = [sys.executable, "-m", "liftedheston.cli", *shlex.split(command), "--out", name]
             proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True)
             if proc.returncode != 0:
