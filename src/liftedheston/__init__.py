@@ -5,63 +5,21 @@ large-step scheme that samples integrated variance from a constrained
 linear projection onto its driver, and an Euler-Maruyama baseline.
 Deterministic moment curves, VIX extraction and Black-76 utilities
 round out the toolkit; the ``lifted-heston`` entry point drives the
-experiment harness.
+experiment harness.  The package re-exports each layer's ``__all__``.
 """
 
-from .clp import ProjectionCoeffs, clp_step, simulate_clp, step_coefficients
-from .euler import VarianceFix, euler_step, simulate_euler
-from .numerics import StepPrecompute, build_drift_matrix, e_matrix_integral, phi1, precompute_step
-from .params import (
-    InitialCurve,
-    ModelParams,
-    expected_integrated_variance,
-    g0,
-    g0_derivative,
-    g0_integral,
-    hurst_parametrization,
-)
-from .pricing import (
-    PriceQuote,
-    black76_price,
-    implied_vol_black,
-    price_european,
-    vix_from_state,
-)
-from .sampling import RngStream, sample_inverse_gaussian
-from .state import PathState, SimDiagnostics, SimOutput, mean_se, variance_se
+from .clp import *
+from .euler import *
+from .numerics import *
+from .params import *
+from .pricing import *
+from .sampling import *
+from .state import *
 
 __version__ = "0.1.0"
 
+# importing a submodule binds its name here, so each layer's list is in reach
 __all__ = [
-    "InitialCurve",
-    "ModelParams",
-    "PathState",
-    "PriceQuote",
-    "ProjectionCoeffs",
-    "RngStream",
-    "SimDiagnostics",
-    "SimOutput",
-    "StepPrecompute",
-    "VarianceFix",
-    "black76_price",
-    "build_drift_matrix",
-    "clp_step",
-    "e_matrix_integral",
-    "euler_step",
-    "expected_integrated_variance",
-    "g0",
-    "g0_derivative",
-    "g0_integral",
-    "hurst_parametrization",
-    "implied_vol_black",
-    "mean_se",
-    "phi1",
-    "precompute_step",
-    "price_european",
-    "sample_inverse_gaussian",
-    "simulate_clp",
-    "simulate_euler",
-    "step_coefficients",
-    "variance_se",
-    "vix_from_state",
+    *clp.__all__, *euler.__all__, *numerics.__all__, *params.__all__,
+    *pricing.__all__, *sampling.__all__, *state.__all__,
 ]

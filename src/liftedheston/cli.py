@@ -113,7 +113,7 @@ class ExperimentConfig:
 
     def build_params(self, **overrides) -> ModelParams:
         kwargs = {**self.model, **overrides}
-        # a bump of n_states moves it by a float
+        # a bump of n_states moves it by a whole-valued float
         kwargs["n_states"] = int(round(kwargs["n_states"]))
         return ModelParams.from_hurst(**kwargs)
 
@@ -251,7 +251,11 @@ def _bumps(raw: str, key: str) -> tuple:
         name = name.strip()
         if name not in dict(_DEFAULT_BUMPS):
             raise ConfigError(f"bumps: unknown parameter {name!r}")
-        out.append((name, _number(value.strip(), "bumps")))
+        delta = _number(value.strip(), "bumps")
+        if name == "n_states" and delta != int(delta):
+            # the run rounds N, but the quotient would divide by this delta
+            raise ConfigError(f"bumps: n_states: not a whole number: {value.strip()!r}")
+        out.append((name, delta))
     if not out:
         raise ConfigError("bumps: empty list")
     return tuple(out)
@@ -401,7 +405,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> None:
     if cfg.times is not None:
         grid = np.asarray(cfg.times, dtype=float)
     else:
-        t_end = cfg.t_end if cfg.t_end is not None else 1.0
+        t_end = cfg.t_end if cfg.t_end is not None else params.t0 + 1.0
         grid = np.linspace(params.t0, t_end, counts[0] + 1)
     out = _run_scheme(cfg, grid, RngStream(cfg.seed, stream_id=_STREAM_MAIN))
     out_dir = Path(cfg.out_dir)
@@ -413,7 +417,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> None:
 def cmd_converge(cfg: ExperimentConfig) -> None:
     """Error of terminal X statistics versus a fine Euler benchmark.
 
-    ``steps`` holds step sizes here; the horizon defaults to T = 5.
+    ``steps`` holds step sizes here; the horizon defaults to t0 + 5.
     The benchmark is an Euler run with
     ``benchmark_steps`` uniform steps on its own seed stream; a sweep
     entry that coincides with the benchmark spec reuses its samples, so
@@ -422,7 +426,7 @@ def cmd_converge(cfg: ExperimentConfig) -> None:
     """
     params = cfg.build_params()
     dts = cfg.steps_list if cfg.steps_list is not None else (5.0, 2.15, 1.0, 0.5)
-    t_end = cfg.t_end if cfg.t_end is not None else 5.0
+    t_end = cfg.t_end if cfg.t_end is not None else params.t0 + 5.0
     bench_grid = np.linspace(params.t0, t_end, cfg.benchmark_steps + 1)
     bench_dt = (t_end - params.t0) / cfg.benchmark_steps
     # every grid before the benchmark runs, so that a grid too large to hold fails at once

@@ -39,6 +39,19 @@ from liftedheston import (
 from liftedheston.cli import build_grid, main as cli_main
 from liftedheston.pricing import implied_vol_black, price_european
 
+from conftest import moments_of_x
+
+
+def _exact_var_x(params, curve, t_end=5.0):
+    """Var X over [0, t_end] from the closed moment equations; printed
+    next to the fine-Euler benchmark, never asserted against."""
+    mean_x, second_x, _, _ = moments_of_x(params, curve, t_end)
+    return second_x - mean_x**2
+
+
+def _gap(value, exact):
+    return f"{value:.6e} ({100.0 * (value - exact) / exact:+#.3g} %)"
+
 
 def test_criterion_01_heston_collapse_mean():
     """Single-factor collapse reproduces the classical terminal mean."""
@@ -69,6 +82,9 @@ def test_criterion_03_large_step_variance(set1, curve, bench_set1):
     var, se = variance_se(out.x)
     diff = abs(var - bench_set1["var_x"])
     tol = max(0.05 * bench_set1["var_x"], 3.0 * float(np.hypot(se, bench_set1["se_var_x"])))
+    exact = _exact_var_x(set1, curve)
+    print(f"criterion 03: exact var_x={exact:.7e} bench={_gap(bench_set1['var_x'], exact)} "
+          f"clp={_gap(var, exact)}")
     print(f"criterion 03: var_x={var:.6e} bench={bench_set1['var_x']:.6e} "
           f"|diff|={diff:.3e} tol={tol:.3e} -> {'PASS' if diff <= tol else 'FAIL'}")
     assert diff <= tol
@@ -318,6 +334,9 @@ def test_criterion_11_euler_divergence(set3, curve, bench_set3):
     diff_c = abs(var_c - bench_set3["var_x"])
     tol_c = max(0.05 * bench_set3["var_x"], 3.0 * float(np.hypot(se_c, bench_set3["se_var_x"])))
     clp_ok = diff_c <= tol_c
+    exact = _exact_var_x(set3, curve)
+    print(f"criterion 11: exact var_x={exact:.7e} bench={_gap(bench_set3['var_x'], exact)} "
+          f"clp={_gap(var_c, exact)} euler={_gap(var_e, exact)}")
     print(f"criterion 11: euler dt=0.025 var err={gap_e:.3e} vs 10se={10 * bench_set3['se_var_x']:.3e} "
           f"diverges={euler_diverges}; clp dt=2.15 |diff|={diff_c:.3e} tol={tol_c:.3e} ok={clp_ok} "
           f"-> {'PASS' if euler_diverges and clp_ok else 'FAIL'}")

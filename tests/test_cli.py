@@ -297,6 +297,7 @@ def test_non_finite_and_fractional_input_exit_2_with_one_line(tmp_path, child_en
     ("bumps = ,\n", [], "bumps: empty list"),
     ("t_end = 0\n", [], "t_end must exceed t0"),
     ("", ["--steps", "10,20"], "steps: simulate takes a single whole-number step count"),
+    ("bumps = n_states:0.5\n", [], "bumps: n_states: not a whole number: '0.5'"),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, child_env, config, flags, message):
     cfg = tmp_path / "bad.cfg"
@@ -533,13 +534,14 @@ def test_vix_outputs(tmp_path):
     assert "mean_vix2_scaled" in summary[0] and "continuation_mean" in summary[0]
 
 
-def test_vix_observation_time_measured_from_t0(tmp_path):
+def assert_t0_shift_keeps_cells(args, tmp_path, config=""):
     """The lifted default curve and the factor dynamics depend on t - t0
     only, so shifting t0 must reproduce every cell up to rounding."""
-    args = ["vix", "--preset", "set1", "--steps", "13", "--paths", "2000", "--seed", "4"]
     cfg = tmp_path / "t0.cfg"
-    cfg.write_text("t0 = 0.5\n")
-    code_a, out_a = run_cli(args, tmp_path, "base")
+    cfg.write_text(config + "t0 = 0.5\n")
+    base = tmp_path / "base.cfg"
+    base.write_text(config)
+    code_a, out_a = run_cli(args + ["--config", str(base)], tmp_path, "base")
     code_b, out_b = run_cli(args + ["--config", str(cfg)], tmp_path, "shifted")
     assert code_a == 0 and code_b == 0
     files_a, files_b = read_all(out_a), read_all(out_b)
@@ -556,6 +558,24 @@ def test_vix_observation_time_measured_from_t0(tmp_path):
                     assert a == b, name
                     continue
                 assert fa == pytest.approx(fb, rel=1e-10, abs=0.0, nan_ok=True), (name, a, b)
+
+
+def test_vix_observation_time_measured_from_t0(tmp_path):
+    assert_t0_shift_keeps_cells(
+        ["vix", "--preset", "set1", "--steps", "13", "--paths", "2000", "--seed", "4"], tmp_path
+    )
+
+
+# both default horizons used to be absolute times: t0 = 0.5 ran simulate
+# over half a year, and t0 past 1 or 5 failed with no t_end set
+@pytest.mark.parametrize("args, config", [
+    (["simulate", "--steps", "4"], ""),
+    (["converge", "--steps", "2.5,1"], "benchmark_steps = 50\n"),
+])
+def test_default_horizon_measured_from_t0(tmp_path, args, config):
+    assert_t0_shift_keeps_cells(
+        args + ["--preset", "set1", "--paths", "2000", "--seed", "4"], tmp_path, config
+    )
 
 
 def test_thread_count_does_not_change_csv(tmp_path):
