@@ -442,14 +442,12 @@ def cmd_converge(cfg: ExperimentConfig) -> None:
     rows = []
     for j, (dt, grid) in enumerate(zip(dts, grids)):
         if grid is None:
-            out = bench
-        else:
-            out = _run_scheme(cfg, grid, RngStream(cfg.seed, stream_id=_STREAM_SWEEP_BASE + j))
-        s = out.summary()
-        if out is bench:
             # the sweep entry IS the benchmark: zero error with zero spread
+            out, s = bench, bsum
             mean_err = var_err = mean_err_se = var_err_se = 0.0
         else:
+            out = _run_scheme(cfg, grid, RngStream(cfg.seed, stream_id=_STREAM_SWEEP_BASE + j))
+            s = out.summary()
             mean_err = abs(s["mean_x"] - bsum["mean_x"])
             var_err = abs(s["var_x"] - bsum["var_x"])
             mean_err_se = math.hypot(s["se_mean_x"], bsum["se_mean_x"])

@@ -347,7 +347,18 @@ def clp_step(
         # frees beta and beta_limit, which the block reads no further, with
         # the ratio: freed on its own it left vix-deep's peak RSS 1 MB higher
         del sl, ratio
-        x_hat = _inverse_gaussian(mean, np.square(mean / beta_c), normal[lo:hi], pick[lo:hi])
+        # 0 or inf on a live row only near the underflow range, where no draw is possible
+        shape = np.square(mean / beta_c)
+        if not (shape.min() > 0.0 and shape.max() < np.inf):
+            bad_shape = (shape == 0.0) | (shape == np.inf)
+            bad_shape[degenerate] = False
+            if bad_shape.any():
+                bad = int(np.argmax(bad_shape))
+                raise FloatingPointError(
+                    f"variance level too small (path {lo + bad}, alpha={alpha[bad]:.3e}); "
+                    f"inverse Gaussian shape (alpha/beta_c)^2 = {shape[bad]:.3g}"
+                )
+        x_hat = _inverse_gaussian(mean, shape, normal[lo:hi], pick[lo:hi])
         z_hat = x_hat - mean
         z_hat /= beta_c
         z_state = z_hat

@@ -63,10 +63,10 @@ def sample_inverse_gaussian(stream: RngStream, mu, gamma, size=None):
     """
     y = stream.normal(size)
     pick = stream.uniform(size)
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0.0):
+    mu, gamma = np.asarray(mu, dtype=float), np.asarray(gamma, dtype=float)
+    if np.any(mu <= 0.0) or np.any(gamma <= 0.0):
         raise ValueError("mu and gamma must be > 0")
-    out = _inverse_gaussian(mu, np.asarray(gamma, dtype=float), y, pick)
+    out = _inverse_gaussian(mu, gamma, y, pick)
     return float(out) if out.ndim == 0 else out
 
 
@@ -75,13 +75,8 @@ def _inverse_gaussian(mu, gamma, normal, uniform):
 
     The transform of :func:`sample_inverse_gaussian`; the projection
     step calls it per block of paths on its own draws.  ``mu`` and
-    ``gamma`` are float arrays, and ``mu`` must be positive, as the
-    step's sampling mean is by construction.  A ``gamma`` at or below 0,
-    such as a shape (alpha / beta)^2 that underflows, raises
-    ``ValueError``; one reduction shows that there is none.
+    ``gamma`` are float arrays, both positive: the callers check them.
     """
-    if not gamma.min(initial=np.inf) > 0.0 and np.any(gamma <= 0.0):
-        raise ValueError("mu and gamma must be > 0")
     y = np.square(normal)
     w = mu * y / gamma
     x_minus = mu / (1.0 + 0.5 * w + np.sqrt(w + 0.25 * np.square(w)))

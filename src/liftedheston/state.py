@@ -17,12 +17,15 @@ which cuts the batch into blocks of a few thousand rows
 spreads them over one thread per usable CPU.  Each block writes every
 output row of its paths and returns its diagnostics partial; the kernel
 folds the partials in block order.  A step's random numbers are all
-drawn before its blocks start: the driver hands the kernels its stream
-through ``_DrawAhead``, and a kernel passes its stream on to
-``_run_blocks``, which then draws the next step's numbers on the calling
-thread while the current step's blocks run, with the same calls in the
-same order.  Every row goes through the same operations wherever
-its block runs, so the bits do not depend on the number of CPUs.
+drawn before its blocks start: the driver wraps its stream in a
+``_DrawAhead`` sized once from the grid's step count, a kernel passes
+the stream it is given on to ``_run_blocks``, and the dispatch then
+draws the next step's numbers on the calling thread while the current
+step's blocks run, with the same calls in the same order.  Every row
+goes through the same operations wherever its block runs, so the bits
+do not depend on the number of CPUs.  A pool that runs every block while
+the calling thread only draws, and row-major Euler factors, were both
+measured slower; README gives the numbers.
 
 The driver checks every step's state for non-finite values and raises
 ``FloatingPointError`` at the first, with numpy's floating-point
@@ -37,7 +40,6 @@ samples.
 from __future__ import annotations
 
 import contextvars
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -121,39 +123,35 @@ def _run_blocks(n: int, body, stream=None) -> list:
     The blocks are cut for ``_WORKERS`` threads, and at most one thread
     per block runs them, the calling thread included, so with one CPU or
     one block no thread starts.  The threads claim the blocks in block
-    order from a shared counter, so a thread that is held up leaves its
-    blocks to the others, and the pool's threads run in a copy of the
+    order from one shared iterator, so a thread that is held up leaves
+    its blocks to the others, and the pool's threads run in a copy of the
     caller's context, numpy's error state included.  When ``stream`` is
     the driver's ``_DrawAhead``, its ``ahead()`` runs once on the calling
     thread after the other threads have started and before it claims a
     block.
 
-    After a block's exception no block is claimed.  Blocks are claimed in
-    order, so every block before the failed one runs to its end, and once
-    every thread has ended, the first exception in block order is raised:
-    the one a serial loop over the blocks would meet.  An exception of
-    ``ahead`` also stops the claims, and is raised once the other
-    threads have ended.
+    A block's exception claims every block left, so no thread runs them.
+    A claimed block always runs, and blocks are claimed in order, so every
+    block before the failed one runs to its end, and once every thread
+    has ended, the first exception in block order is raised: the one a
+    serial loop over the blocks would meet.  An exception of ``ahead``
+    also claims the rest, and is raised once the other threads have ended.
     """
     global _pool
     blocks = _path_blocks(n, _WORKERS)
     workers = min(_WORKERS, len(blocks))
     results = [None] * len(blocks)
     errors = [None] * len(blocks)
-    claims = itertools.count()  # next() on it is atomic under the interpreter lock
-    failed = False
+    claims = enumerate(blocks)  # next() on it is atomic under the interpreter lock
 
     def run():
-        nonlocal failed
-        while not failed:
-            i = next(claims)
-            if i >= len(blocks):
-                return
+        for i, (lo, hi) in claims:
             try:
-                results[i] = body(*blocks[i])
+                results[i] = body(lo, hi)
             except BaseException as exc:  # raised on the calling thread below
                 errors[i] = exc
-                failed = True
+                for _ in claims:  # claims the rest, so that no thread runs them
+                    pass
 
     futures = []
     if workers > 1:
@@ -165,7 +163,8 @@ def _run_blocks(n: int, body, stream=None) -> list:
             stream.ahead()
         run()
     except BaseException:
-        failed = True
+        for _ in claims:
+            pass
         raise
     finally:
         wait(futures)
@@ -183,23 +182,20 @@ class _DrawAhead:
     A step draws through ``normal`` and ``uniform`` as from the
     ``RngStream``.  The arrays drawn ahead for it come back in call order,
     and with none drawn the call goes to the stream.  ``ahead()``, which
-    ``_run_blocks`` calls when a kernel passes it the stream, makes the
-    current step's calls again, for the next step, unless ``start_step``
-    said that the current step is the last.  So the stream meets the
-    calls, sizes and order it would meet without look-ahead, all on the
-    calling thread, and none after the last step: a completed run leaves
-    it where a run that draws each step's numbers in the step leaves it.
+    ``_run_blocks`` calls once a step when a kernel passes it the stream,
+    counts down the run's ``steps``; while a step is left it makes the
+    current step's calls again, for the next step, and then it forgets
+    them.  So the stream meets the calls, sizes and order it would meet
+    without look-ahead, all on the calling thread, and none after the
+    last step: a completed run leaves it where a run that draws each
+    step's numbers in the step leaves it.
     """
 
-    def __init__(self, stream: RngStream):
+    def __init__(self, stream: RngStream, steps: int):
         self._stream = stream
+        self._steps = steps
         self._calls: list[tuple[str, object]] = []
         self._drawn: list[tuple[str, object, np.ndarray]] = []
-        self._pending = False
-
-    def start_step(self, last: bool) -> None:
-        self._calls = []
-        self._pending = not last
 
     def _take(self, kind: str, size):
         self._calls.append((kind, size))
@@ -219,10 +215,11 @@ class _DrawAhead:
         return self._take("uniform", size)
 
     def ahead(self) -> None:
-        if self._pending:
-            self._pending = False
+        self._steps -= 1
+        if self._steps > 0:
             self._drawn = [(kind, size, getattr(self._stream, kind)(size))
                            for kind, size in self._calls]
+        self._calls = []
 
 
 @dataclass
@@ -357,14 +354,13 @@ def _simulate(step, params, grid, n_paths: int, seed, snapshot_times=(), initial
     for t_snap in snapshot_times:
         if not np.any(np.abs(grid - t_snap) <= 1e-12):
             raise ValueError(f"snapshot time {t_snap} is not a grid point")
-    draws = _DrawAhead(seed if isinstance(seed, RngStream) else RngStream(int(seed)))
+    draws = _DrawAhead(seed if isinstance(seed, RngStream) else RngStream(int(seed)), grid.size - 1)
 
     diagnostics = SimDiagnostics(n_paths=n_paths, n_steps=grid.size - 1)
     snapshots: dict[float, PathState] = {}
     ever_negative = np.zeros(n_paths, dtype=bool)
     for i in range(grid.size):
         if i > 0:
-            draws.start_step(last=i == grid.size - 1)
             with np.errstate(all="ignore"):
                 state = step(state, float(grid[i - 1]), float(grid[i]), draws, diagnostics)
             _check_finite(state)

@@ -347,7 +347,9 @@ def test_simulate_heston_curve_matches_its_mean(tmp_path):
 # warnings with all-NaN CSVs, the third with a 7 TiB allocation
 # traceback, the Euler run after overflow warnings with inf and NaN in
 # summary.csv, vix after an overflow warning in the price, and vix at a
-# large negative rate with an OverflowError traceback from the discount
+# large negative rate with an OverflowError traceback from the discount;
+# near the underflow range C-LP exited 2 with "mu and gamma must be > 0"
+# (shape 0) and with a non-finite log price (shape inf)
 SIMULATE = ["simulate", "--paths", "10", "--steps", "2"]
 
 
@@ -361,6 +363,12 @@ SIMULATE = ["simulate", "--paths", "10", "--steps", "2"]
      ["vix", "--paths", "100", "--steps", "13"]),
     ("rate = -800\n", "numeric overflow (math range error): model values too large",
      ["vix", "--paths", "100", "--steps", "13"]),
+    ("lam = 0\ntheta = 0\nv0 = 1e-165\nt_end = 3\n",
+     "variance level too small (path 0, alpha=1.000e-165); "
+     "inverse Gaussian shape (alpha/beta_c)^2 = 0", ["simulate", "--paths", "10", "--steps", "3"]),
+    ("n_states = 1\nhurst = 0.25\nlam = 2\nnu = 0.5\nv0 = 0\ntheta = 5e-324\nrho = -1\n"
+     "t_end = 3\n", "variance level too small (path 0, alpha=4.941e-324); "
+     "inverse Gaussian shape (alpha/beta_c)^2 = inf", ["simulate", "--paths", "10", "--steps", "3"]),
 ])
 def test_extreme_model_values_exit_2_with_one_line(tmp_path, child_env, config, message,
                                                    command):

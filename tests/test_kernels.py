@@ -421,8 +421,9 @@ def test_coefficients_patch_any_mix_of_rare_rows(set1):
 def test_clp_step_raises_where_the_inverse_gaussian_shape_underflows(curve, monkeypatch,
                                                                       one_thread, n):
     """At v0 = theta = 1e-170 every path is live, with a shape
-    (alpha / beta_c)^2 that underflows to 0: the step raises the
-    reference's error on any number of workers."""
+    (alpha / beta_c)^2 that underflows to 0: the reference's sampler
+    refuses it, and the step names the first path on any number of
+    workers."""
     params = ModelParams.from_hurst(5, 0.3, lam=0.25, nu=0.1, v0=1e-170, theta=1e-170, rho=0.7)
     state = PathState.initial(params, n)
     pre = precompute_step(params, curve, 0.0, 0.1)
@@ -432,7 +433,7 @@ def test_clp_step_raises_where_the_inverse_gaussian_shape_underflows(curve, monk
         one_thread(reference_clp_step, state, pre, params, RngStream(1))
     for workers in WORKERS:
         monkeypatch.setattr(state_module, "_WORKERS", workers)
-        with pytest.raises(ValueError, match="mu and gamma must be > 0"):
+        with pytest.raises(FloatingPointError, match=r"^variance level too small \(path 0, "):
             clp_step(state, pre, params, RngStream(1))
 
 
@@ -697,6 +698,30 @@ def test_roundoff_error_reports_global_minimum(set1, curve, monkeypatch, one_thr
         monkeypatch.setattr(state_module, "_WORKERS", workers)
         diag = SimDiagnostics()
         assert_same_step(clp_step(state, pre, set1, RngStream(6), diag), ref, diag, diag_ref)
+
+
+def test_shape_error_names_first_bad_path_globally(set1, curve, monkeypatch):
+    """Live rows with an infinite boundary slope, so an inverse Gaussian
+    shape of 0, in the first, a middle and the last of six blocks: the
+    error names the first, whichever thread meets its row first."""
+    n = MANY
+    state = PathState.initial(set1, n)
+    pre = precompute_step(set1, curve, 0.0, 0.5)
+    rows = (_BLOCK - 17, n // 2, n - 3)
+    for k, first in enumerate(rows):
+
+        def shapeless(u, maps, params, first_path=0, bad=np.array(rows[k:])):
+            coeffs = _REAL_COEFFICIENTS(u, maps, params, first_path)
+            local = bad - first_path
+            coeffs.beta_c[local[(local >= 0) & (local < u.shape[0])]] = np.inf
+            return coeffs
+
+        monkeypatch.setattr(clp, "_coefficients", shapeless)
+        for workers in WORKERS:
+            monkeypatch.setattr(state_module, "_WORKERS", workers)
+            with pytest.raises(FloatingPointError,
+                               match=rf"^variance level too small \(path {first}, "):
+                clp_step(state, pre, set1, RngStream(3))
 
 
 def _unbounded(u, maps, params, first_path=0):

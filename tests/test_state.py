@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -265,8 +266,7 @@ def test_run_blocks_runs_ahead_once_on_the_calling_thread(monkeypatch, workers):
     monkeypatch.setattr(state_module, "_WORKERS", workers)
     n = 7 * _BLOCK + 39
     recorder = _ThreadRecorder()
-    draws = _DrawAhead(recorder)
-    draws.start_step(last=False)
+    draws = _DrawAhead(recorder, steps=2)
     draws.normal(3)
     for _ in range(2):
         got = _run_blocks(n, lambda lo, hi: (lo, hi), draws)
@@ -275,6 +275,50 @@ def test_run_blocks_runs_ahead_once_on_the_calling_thread(monkeypatch, workers):
     plain = _ThreadRecorder()
     assert _run_blocks(n, lambda lo, hi: (lo, hi), plain) == _path_blocks(n, workers)
     assert plain.threads == []
+
+
+class _FailingAhead:
+    """A stream whose first draw gives zeros and whose next one raises,
+    once ``block_started`` is set when it is given."""
+
+    def __init__(self, block_started=None):
+        self.block_started = block_started
+        self.calls = 0
+
+    def normal(self, size=None):
+        self.calls += 1
+        if self.calls == 1:
+            return np.zeros(size)
+        if self.block_started is not None:
+            assert self.block_started.wait(timeout=60)
+        raise RuntimeError("draw ahead failed")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_blocks_raises_a_failed_draw_ahead_after_the_running_blocks(monkeypatch, workers):
+    """The look-ahead draw fails while another thread's block runs: the
+    dispatch claims no further block and raises the draw's error once
+    every block that started has ended.  With one worker the calling
+    thread draws before it claims, so no block runs."""
+    monkeypatch.setattr(state_module, "_WORKERS", workers)
+    n = 7 * _BLOCK + 39
+    block_started = threading.Event()
+    started, ended = [], []
+
+    def body(lo, hi):
+        started.append(lo)
+        block_started.set()
+        time.sleep(0.05)
+        ended.append(lo)
+
+    draws = _DrawAhead(_FailingAhead(block_started if workers > 1 else None), steps=2)
+    draws.normal(3)
+    with pytest.raises(RuntimeError, match="^draw ahead failed$"):
+        _run_blocks(n, body, draws)
+    assert sorted(ended) == sorted(started)
+    assert len(started) < len(_path_blocks(n, workers))
+    if workers == 1:
+        assert started == []
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
